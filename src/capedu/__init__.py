@@ -26,19 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .integrator import IntegratorSettings, RawTrajectory, integrate
-from .model import (
-    ChaosAugmentedState,
-    ControlledState,
-    EconState,
-    ModelParams,
-    basic_field,
-    consumption,
-    control_field,
-    investments,
-    modulated_field,
-    ne9_field,
-    production,
-)
+from .model import EconState, ModelParams, consumption, investments, production
 from .scenario_io import (
     ChaosSpec,
     ControlSpec,

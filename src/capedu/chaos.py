@@ -25,7 +25,9 @@ class AverageSeries:
 
 
 def simulate_ne9(b: float = model.NE9_B_DEFAULT,
-                 x0: float = 0.5, y0: float = 0.0, z0: float = 0.0,
+                 x0: float = model.NE9_START_DEFAULT[0],
+                 y0: float = model.NE9_START_DEFAULT[1],
+                 z0: float = model.NE9_START_DEFAULT[2],
                  horizon: float = 100.0,
                  settings: IntegratorSettings | None = None,
                  sample_step: float = DEFAULT_SAMPLE_STEP) -> RawTrajectory:

@@ -13,28 +13,13 @@ from . import chaos as chaos_mod
 from . import control as control_mod
 from . import scenario_io
 from .analysis import controlled_equilibrium, equilibrium_report
-from .errors import (
-    CapEduError,
-    DomainError,
-    EmptySeries,
-    InvalidTarget,
-    NonFiniteState,
-    NoSignChange,
-    ParseError,
-    StepLimitExceeded,
-    StructurallyUnstable,
-    ValidationError,
-)
-from .integrator import IntegratorSettings
+from .errors import CapEduError, EmptySeries, ValidationError
+from .integrator import CHAOS_SETTINGS, IntegratorSettings
+from .model import NE9_B_DEFAULT, NE9_START_DEFAULT
 
+# errors raised by the library exit with their class's exit_code (2 or 3)
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_VALIDATION = 2
-EXIT_NUMERIC = 3
-
-_VALIDATION_ERRORS = (ParseError, ValidationError, InvalidTarget)
-_NUMERIC_ERRORS = (DomainError, StepLimitExceeded, NonFiniteState,
-                   StructurallyUnstable, NoSignChange, EmptySeries)
 
 
 def _write_output(text: str, out: str | None):
@@ -71,13 +56,6 @@ def _parse_range(text: str) -> tuple[float, float]:
 def _parse_grid(text: str) -> tuple[int, int]:
     a, _, b = text.partition("x")
     return int(a), int(b)
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("CAPEDU_JOBS")
-    if env is not None:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _fmt_eig(e: complex) -> str:
@@ -117,7 +95,10 @@ def _cmd_sweep(args) -> int:
     values = tuple(float(v) for v in args.values.split(","))
     spec = scenario_io.SweepSpec(base=scenario, parameter=args.param,
                                  values=values, report_time=args.at)
-    rows = scenario_io.run_sweep(spec, jobs=args.jobs)
+    if args.jobs is not None or "CAPEDU_JOBS" in os.environ:
+        print("warning: --jobs and CAPEDU_JOBS are deprecated and ignored; "
+              "sweep rows run in sequence", file=sys.stderr)
+    rows = scenario_io.run_sweep(spec)
     _write_output(scenario_io.write_sweep_csv(rows), args.out)
     return EXIT_OK
 
@@ -165,18 +146,21 @@ def _cmd_phase(args) -> int:
 def _cmd_plot(args) -> int:
     with open(args.csv) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise EmptySeries("empty CSV")
+    if len(lines) < 2:
+        raise EmptySeries("CSV has no data rows")
     header = lines[0].split(",")
     table = np.array([[float(v) if v else np.nan for v in ln.split(",")]
                       for ln in lines[1:]])
-    x = table[:, 0]
     wanted = args.columns.split(",") if args.columns else header[1:]
-    series = []
-    for name in wanted:
+    for name in [header[0], *wanted]:
         if name not in header:
             raise ValidationError("columns", f"no column {name!r} in CSV")
-        series.append((name, x, table[:, header.index(name)]))
+        bad = np.flatnonzero(~np.isfinite(table[:, header.index(name)]))
+        if bad.size:
+            raise ValidationError(
+                name, f"empty or non-finite value in data row {bad[0] + 1}")
+    x = table[:, 0]
+    series = [(name, x, table[:, header.index(name)]) for name in wanted]
     svg = scenario_io.render_svg(series, title=args.title)
     _write_output(svg, args.out)
     return EXIT_OK
@@ -216,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated parameter values")
     p.add_argument("--at", type=float, required=True,
                    help="report time for Y and C")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="worker threads (default: CAPEDU_JOBS or CPU count)")
+    p.add_argument("--jobs", default=None,
+                   help="deprecated and ignored: rows run in sequence")
     out_flag(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -240,14 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chaos",
                        help="run the chaotic driver, print its running average")
     p.add_argument("--horizon", type=float, default=100.0)
-    p.add_argument("--b", type=float, default=0.55,
+    p.add_argument("--b", type=float, default=NE9_B_DEFAULT,
                    help="dissipation constant of the driver")
-    p.add_argument("--x0", type=float, default=0.5)
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--z0", type=float, default=0.0)
-    p.add_argument("--sample-step", type=float, default=0.01)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--x0", type=float, default=NE9_START_DEFAULT[0])
+    p.add_argument("--y0", type=float, default=NE9_START_DEFAULT[1])
+    p.add_argument("--z0", type=float, default=NE9_START_DEFAULT[2])
+    p.add_argument("--sample-step", type=float,
+                   default=chaos_mod.DEFAULT_SAMPLE_STEP)
+    p.add_argument("--rel-tol", type=float, default=CHAOS_SETTINGS.rel_tol)
+    p.add_argument("--abs-tol", type=float, default=CHAOS_SETTINGS.abs_tol)
     out_flag(p)
     p.set_defaults(func=_cmd_chaos)
 
@@ -281,15 +266,9 @@ def run(argv: list[str]) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except CapEduError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return exc.exit_code
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,7 +2,13 @@
 
 
 class CapEduError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    exit_code is the CLI's exit status for the error: 2 for bad input,
+    3 for a numeric or analytic failure.
+    """
+
+    exit_code = 3
 
 
 class DomainError(CapEduError):
@@ -24,6 +30,8 @@ class StructurallyUnstable(CapEduError):
 class InvalidTarget(CapEduError):
     """Consumption target leaves no room for education investment."""
 
+    exit_code = 2
+
 
 class NoSignChange(CapEduError):
     """Bisection bracket does not straddle a sign change."""
@@ -32,9 +40,13 @@ class NoSignChange(CapEduError):
 class ParseError(CapEduError):
     """Scenario document is malformed or misses a required field."""
 
+    exit_code = 2
+
 
 class ValidationError(CapEduError):
     """A parameter violates its allowed range; names the field."""
+
+    exit_code = 2
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")

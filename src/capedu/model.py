@@ -19,9 +19,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 __all__ = [
-    "ModelParams", "EconState", "ControlledState", "ChaosAugmentedState",
-    "production", "investments", "consumption",
-    "basic_field", "ne9_field", "modulated_field", "control_field",
+    "ModelParams", "EconState", "production", "investments", "consumption",
     "basic_rhs", "ne9_rhs", "modulated_rhs", "control_rhs",
     "NE9_B_DEFAULT", "NE9_START_DEFAULT",
 ]
@@ -80,20 +78,6 @@ class EconState:
         _require_positive(self.K, self.E)
 
 
-@dataclass(frozen=True)
-class ControlledState:
-    econ: EconState
-    s_r: float  # current education investment fraction
-
-
-@dataclass(frozen=True)
-class ChaosAugmentedState:
-    econ: EconState
-    x: float
-    y: float
-    z: float
-
-
 def _require_positive(K, E):
     # fractional powers are undefined at non-positive bases; the economy
     # model is meaningless there
@@ -119,42 +103,10 @@ def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:
     return (1.0 - params.s_k - s_r_current) * Y
 
 
-def basic_field(params: ModelParams, state: EconState) -> tuple[float, float]:
-    """d/dt (K, E) for the basic 2-D system."""
-    Y = production(params, state)
-    return (params.s_k * Y - params.delta_k * state.K,
-            params.s_r * Y - params.delta_r * state.E)
-
-
-def ne9_field(state, b: float = NE9_B_DEFAULT) -> tuple[float, float, float]:
-    """d/dt (x, y, z) of the chaotic driver."""
-    x, y, z = state
-    return (y, -x - y * z, -x * z + 7.0 * x * x - b)
-
-
-def modulated_field(params: ModelParams, c: float, state: ChaosAugmentedState,
-                    b: float = NE9_B_DEFAULT):
-    """d/dt (K, E, x, y, z): capital investment coefficient s_k + c*x."""
-    K, E = state.econ.K, state.econ.E
-    Y = production(params, state.econ)
-    dx, dy, dz = ne9_field((state.x, state.y, state.z), b)
-    return ((params.s_k + c * state.x) * Y - params.delta_k * K,
-            params.s_r * Y - params.delta_r * E,
-            dx, dy, dz)
-
-
-def control_field(params: ModelParams, p: float, state: ControlledState):
-    """d/dt (K, E, s_r): s_r drifts at the rate consumption exceeds p*Y."""
-    K, E = state.econ.K, state.econ.E
-    Y = production(params, state.econ)
-    return (params.s_k * Y - params.delta_k * K,
-            state.s_r * Y - params.delta_r * E,
-            (1.0 - params.s_k - state.s_r - p) * Y)
-
-
-# Vector-field closures over flat numpy states, for the integrator.
+# Vector fields as closures over flat numpy states, for the integrator.
 
 def basic_rhs(params: ModelParams):
+    """d/dt (K, E) for the basic 2-D system."""
     s_k, s_r = params.s_k, params.s_r
     d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
 
@@ -168,6 +120,7 @@ def basic_rhs(params: ModelParams):
 
 
 def ne9_rhs(b: float = NE9_B_DEFAULT):
+    """d/dt (x, y, z) of the chaotic driver."""
     def rhs(v: np.ndarray) -> np.ndarray:
         x, y, z = v
         return np.array([y, -x - y * z, -x * z + 7.0 * x * x - b])
@@ -176,6 +129,7 @@ def ne9_rhs(b: float = NE9_B_DEFAULT):
 
 
 def modulated_rhs(params: ModelParams, c: float, b: float = NE9_B_DEFAULT):
+    """d/dt (K, E, x, y, z): capital investment coefficient s_k + c*x."""
     s_k, s_r = params.s_k, params.s_r
     d_k, d_r, al, be = params.delta_k, params.delta_r, params.alpha, params.beta
 
@@ -193,6 +147,7 @@ def modulated_rhs(params: ModelParams, c: float, b: float = NE9_B_DEFAULT):
 
 
 def control_rhs(params: ModelParams, p: float):
+    """d/dt (K, E, s_r): s_r drifts at the rate consumption exceeds p*Y."""
     s_k = params.s_k
     d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
 

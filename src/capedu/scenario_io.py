@@ -7,8 +7,8 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import html
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +18,7 @@ from . import control as control_mod
 from . import model
 from .analysis import equilibrium
 from .errors import CapEduError, DomainError, EmptySeries, ParseError, ValidationError
-from .integrator import IntegratorSettings, RawTrajectory, integrate
+from .integrator import IntegratorSettings, RawTrajectory, _sample_grid, integrate
 from .model import EconState, ModelParams
 from .trajectory import Trajectory, build_trajectory
 
@@ -42,9 +42,9 @@ class ControlSpec:
 @dataclass(frozen=True)
 class ChaosSpec:
     c: float
-    x0: float = 0.5
-    y0: float = 0.0
-    z0: float = 0.0
+    x0: float = model.NE9_START_DEFAULT[0]
+    y0: float = model.NE9_START_DEFAULT[1]
+    z0: float = model.NE9_START_DEFAULT[2]
     b: float = model.NE9_B_DEFAULT
 
 
@@ -148,8 +148,8 @@ def load_scenario(text: str) -> Scenario:
     chaos = None
     if kind == "chaotic":
         blk = _block(doc, "chaos", ("c",),
-                     {"x0": 0.5, "y0": 0.0, "z0": 0.0,
-                      "b": model.NE9_B_DEFAULT})
+                     {"x0": ChaosSpec.x0, "y0": ChaosSpec.y0,
+                      "z0": ChaosSpec.z0, "b": ChaosSpec.b})
         chaos = ChaosSpec(**blk)
 
     integ = IntegratorSettings()
@@ -238,9 +238,14 @@ class SweepSpec:
                                   "c only applies to chaotic scenarios")
         if not self.values:
             raise ValidationError("values", "must be non-empty")
-        if not 0 <= self.report_time <= self.base.horizon:
-            raise ValidationError("report_time",
-                                  "must lie within [0, horizon]")
+        # Trajectory.at snaps to the nearest sample, so an off-grid time
+        # would silently report a neighbouring row
+        grid = _sample_grid(0.0, self.base.horizon, self.base.sample_step)
+        gap = np.min(np.abs(grid - self.report_time))
+        if not gap <= 1e-9 * self.base.sample_step:
+            raise ValidationError(
+                "report_time", "must be a sample time of the base scenario "
+                "(a multiple of sample_step within [0, horizon], or horizon)")
 
 
 @dataclass(frozen=True)
@@ -259,25 +264,18 @@ def _apply_parameter(base: Scenario, name: str, value: float) -> Scenario:
     return replace(base, params=replace(base.params, **{name: value}))
 
 
-def _sweep_row(base: Scenario, name: str, value: float,
-               report_time: float) -> SweepRow:
-    try:
-        scenario = _apply_parameter(base, name, value)
-        traj = run_scenario(scenario)
-        row = traj.at(report_time)
-        return SweepRow(value=value, Y=row["Y"], C=row["C"])
-    except CapEduError as exc:
-        return SweepRow(value=value, Y=None, C=None, error=str(exc))
-
-
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
-    """One independent run per value; per-row failures do not stop the sweep."""
-    args = [(spec.base, spec.parameter, v, spec.report_time)
-            for v in spec.values]
-    if jobs <= 1 or len(args) <= 1:
-        return [_sweep_row(*a) for a in args]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda a: _sweep_row(*a), args))
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """One independent run per value, in sequence; per-row failures do not
+    stop the sweep."""
+    rows = []
+    for value in spec.values:
+        try:
+            scenario = _apply_parameter(spec.base, spec.parameter, value)
+            row = run_scenario(scenario).at(spec.report_time)
+            rows.append(SweepRow(value=value, Y=row["Y"], C=row["C"]))
+        except CapEduError as exc:
+            rows.append(SweepRow(value=value, Y=None, C=None, error=str(exc)))
+    return rows
 
 
 def _fmt(value: float) -> str:
@@ -353,7 +351,8 @@ def render_svg(series, title: str = "") -> str:
     if title:
         out.append(
             f'<text x="{_W / 2:.2f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>')
+            'font-family="sans-serif" font-size="16">'
+            f'{html.escape(title, quote=False)}</text>')
     # axes
     out.append(
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
@@ -388,7 +387,8 @@ def render_svg(series, title: str = "") -> str:
                    f'x2="{_W - _MR - 120}" y2="{ly}" stroke="{color}" '
                    'stroke-width="2"/>')
         out.append(f'<text x="{_W - _MR - 112}" y="{ly + 4}" '
-                   f'font-family="sans-serif" font-size="12">{label}</text>')
+                   'font-family="sans-serif" font-size="12">'
+                   f'{html.escape(label, quote=False)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

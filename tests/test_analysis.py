@@ -12,13 +12,13 @@ from capedu.analysis import (
     jacobian_basic,
 )
 from capedu.errors import InvalidTarget, StructurallyUnstable, ValidationError
-from capedu.model import EconState, ModelParams, basic_field
+from capedu.model import ModelParams, basic_rhs
 
 from test_model import random_params
 
 
 def residual(params, K0, E0):
-    dK, dE = basic_field(params, EconState(K0, E0))
+    dK, dE = basic_rhs(params)(np.array([K0, E0]))
     return max(abs(dK) / K0, abs(dE) / E0)
 
 

@@ -1,0 +1,43 @@
+"""The benchmark under perfbench/ drives capedu through fixed names.
+
+perfbench/ is kept unchanged between runs of the benchmark, so a rename or
+removal in capedu that it relies on would break it silently; these tests
+fail first.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    wrapped = _load_tracing().WRAPPED
+    assert wrapped
+    for mod, attr, _, _ in wrapped:
+        assert callable(getattr(importlib.import_module(mod), attr)), \
+            f"{mod}.{attr}"
+
+
+@pytest.mark.parametrize("mod,attr", [
+    ("capedu.model", "ModelParams"),
+    ("capedu.model", "basic_rhs"),
+    ("capedu.integrator", "integrate"),
+    ("capedu.integrator", "IntegratorSettings"),
+    ("capedu.analysis", "eigen_basic"),
+    ("capedu.analysis", "equilibrium_report"),
+    ("capedu.analysis", "controlled_equilibrium"),
+])
+def test_workload_imports_exist(mod, attr):
+    assert callable(getattr(importlib.import_module(mod), attr))

@@ -3,7 +3,20 @@ from pathlib import Path
 
 import pytest
 
+from capedu import cli
 from capedu.cli import run
+from capedu.errors import (
+    CapEduError,
+    DomainError,
+    EmptySeries,
+    InvalidTarget,
+    NonFiniteState,
+    NoSignChange,
+    ParseError,
+    StepLimitExceeded,
+    StructurallyUnstable,
+    ValidationError,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -153,3 +166,68 @@ def test_jobs_env_default(basic_scenario, monkeypatch, capsys):
     assert run(["sweep", "--scenario", str(basic_scenario),
                 "--param", "s_r", "--values", "0.1", "--at", "200"]) == 0
     assert capsys.readouterr().out.startswith("value,Y,C,error")
+
+
+def test_jobs_deprecated_and_ignored(basic_scenario, monkeypatch, capsys):
+    monkeypatch.setenv("CAPEDU_JOBS", "abc")
+    assert run(["simulate", "--scenario", str(basic_scenario)]) == 0
+    assert "deprecated" not in capsys.readouterr().err
+    sweep = ["sweep", "--scenario", str(basic_scenario), "--param", "s_r",
+             "--values", "0.1,0.2", "--at", "200"]
+    assert run(sweep) == 0
+    warned = capsys.readouterr()
+    assert warned.err.count("deprecated") == 1
+    monkeypatch.delenv("CAPEDU_JOBS")
+    assert run(sweep + ["--jobs", "many"]) == 0
+    assert capsys.readouterr().err.count("deprecated") == 1
+    assert run(sweep) == 0
+    plain = capsys.readouterr()
+    assert plain.err == "" and plain.out == warned.out
+
+
+def test_plot_rejects_empty_cell(tmp_path, capsys):
+    csv = tmp_path / "run.csv"
+    csv.write_text("t,Y,C\n0.0,1.0,0.5\n1.0,,0.6\n2.0,1.2,0.7\n")
+    svg = tmp_path / "fig.svg"
+    assert run(["plot", "--csv", str(csv), "--columns", "Y",
+                "--out", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert "Y:" in err and "data row 2" in err
+    assert not svg.exists()
+    # an empty cell outside the plotted columns does no harm
+    assert run(["plot", "--csv", str(csv), "--columns", "C",
+                "--out", str(svg)]) == 0
+    assert "nan" not in svg.read_text()
+
+
+def test_plot_header_only_csv_is_exit_3(tmp_path, capsys):
+    csv = tmp_path / "run.csv"
+    csv.write_text("t,Y\n")
+    assert run(["plot", "--csv", str(csv)]) == 3
+    assert "no data rows" in capsys.readouterr().err
+
+
+# the exit status each error class gives on the command line
+EXIT_CODES = {
+    CapEduError: 3, DomainError: 3, StepLimitExceeded: 3, NonFiniteState: 3,
+    StructurallyUnstable: 3, NoSignChange: 3, EmptySeries: 3,
+    ParseError: 2, ValidationError: 2, InvalidTarget: 2,
+}
+
+
+def test_exit_codes_cover_every_error_class():
+    assert set(EXIT_CODES) == {CapEduError, *CapEduError.__subclasses__()}
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda c: c.__name__)
+def test_error_exit_code(cls, basic_scenario, monkeypatch, capsys):
+    assert cls.exit_code == EXIT_CODES[cls]
+    exc = cls("field", "boom") if cls is ValidationError else cls("boom")
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_equilibrium", fail)
+    assert run(["equilibrium", "--scenario", str(basic_scenario)]) == \
+        EXIT_CODES[cls]
+    assert "error:" in capsys.readouterr().err

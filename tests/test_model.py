@@ -3,16 +3,14 @@ import pytest
 
 from capedu.errors import DomainError, ValidationError
 from capedu.model import (
-    ChaosAugmentedState,
-    ControlledState,
     EconState,
     ModelParams,
-    basic_field,
+    basic_rhs,
     consumption,
-    control_field,
+    control_rhs,
     investments,
-    modulated_field,
-    ne9_field,
+    modulated_rhs,
+    ne9_rhs,
     production,
 )
 
@@ -116,73 +114,76 @@ class TestFlows:
 
 class TestBasicField:
     def test_unit_state(self, baseline_params):
-        dK, dE = basic_field(baseline_params, EconState(1.0, 1.0))
+        dK, dE = basic_rhs(baseline_params)(np.array([1.0, 1.0]))
         assert dK == pytest.approx(0.25, abs=1e-12)
         assert dE == pytest.approx(-0.15, abs=1e-12)
 
     def test_equilibrium_residual(self, baseline_params):
-        dK, dE = basic_field(baseline_params, EconState(3.8054, 0.5708))
+        dK, dE = basic_rhs(baseline_params)(np.array([3.8054, 0.5708]))
         assert abs(dK) < 1e-4 and abs(dE) < 1e-4
 
     def test_tangent_to_invariant_line(self):
         p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.2, delta_r=0.2,
                         alpha=0.2, beta=0.35)
+        rhs = basic_rhs(p)
         rng = np.random.default_rng(3)
         for _ in range(50):
             E = rng.uniform(0.1, 5.0)
-            dK, dE = basic_field(p, EconState(4.0 * E, E))
+            dK, dE = rhs(np.array([4.0 * E, E]))
             # the flow keeps K = 4E: dK must equal 4*dE on the line
             assert dK == pytest.approx(4.0 * dE, rel=1e-12)
+
+    def test_domain_guard(self, baseline_params):
+        with pytest.raises(DomainError):
+            basic_rhs(baseline_params)(np.array([1.0, 0.0]))
 
 
 class TestNe9Field:
     def test_hand_value(self):
-        assert ne9_field((0.5, 0.0, 0.0), 0.55) == \
+        assert tuple(ne9_rhs(0.55)(np.array([0.5, 0.0, 0.0]))) == \
             pytest.approx((0.0, -0.5, 1.2))
 
     def test_origin_fixed_point_without_dissipation(self):
-        assert ne9_field((0.0, 0.0, 0.0), 0.0) == (0.0, 0.0, 0.0)
+        assert np.array_equal(ne9_rhs(0.0)(np.zeros(3)), np.zeros(3))
 
 
 class TestModulatedField:
     def test_zero_modulation_matches_basic(self, baseline_params):
+        full_rhs = modulated_rhs(baseline_params, 0.0)
+        econ_rhs = basic_rhs(baseline_params)
         rng = np.random.default_rng(5)
         for _ in range(1000):
             K, E = rng.uniform(0.1, 10.0, size=2)
             x, y, z = rng.normal(size=3)
-            full = modulated_field(
-                baseline_params, 0.0,
-                ChaosAugmentedState(EconState(K, E), x, y, z))
-            assert full[:2] == basic_field(baseline_params, EconState(K, E))
+            full = full_rhs(np.array([K, E, x, y, z]))
+            assert np.array_equal(full[:2], econ_rhs(np.array([K, E])))
 
     def test_hand_value(self):
         p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.15,
                         alpha=0.2, beta=0.35)
-        full = modulated_field(
-            p, 0.5, ChaosAugmentedState(EconState(1.0, 1.0), 0.5, 0.0, 0.0))
+        full = modulated_rhs(p, 0.5)(np.array([1.0, 1.0, 0.5, 0.0, 0.0]))
         assert full[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_chaos_block_is_driver(self):
         p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                         alpha=0.2, beta=0.35)
-        state = ChaosAugmentedState(EconState(2.0, 1.0), 0.3, -0.2, 0.7)
-        full = modulated_field(p, 0.5, state, b=0.55)
-        assert full[2:] == ne9_field((0.3, -0.2, 0.7), 0.55)
+        state = np.array([2.0, 1.0, 0.3, -0.2, 0.7])
+        full = modulated_rhs(p, 0.5, b=0.55)(state)
+        assert np.array_equal(full[2:], ne9_rhs(0.55)(state[2:]))
 
 
 class TestControlField:
     def test_equilibrium_of_control_variable(self, baseline_params):
         p_target = 0.47
         s_r = 1.0 - baseline_params.s_k - p_target
-        d = control_field(baseline_params, p_target,
-                          ControlledState(EconState(2.0, 3.0), s_r))
+        d = control_rhs(baseline_params, p_target)(np.array([2.0, 3.0, s_r]))
         assert d[2] == 0.0
 
     def test_hand_values(self, baseline_params):
-        state = ControlledState(EconState(4.0, 1.0), 0.1)
-        d = control_field(baseline_params, 0.47, state)
+        state = np.array([4.0, 1.0, 0.1])
+        d = control_rhs(baseline_params, 0.47)(state)
         assert d[2] == pytest.approx(0.048735, abs=1e-5)
-        d = control_field(baseline_params, 0.55, state)
+        d = control_rhs(baseline_params, 0.55)(state)
         assert d[2] == pytest.approx(-0.081225, abs=1e-5)
 
     def test_econ_block_matches_basic_with_current_s_r(self):
@@ -190,10 +191,11 @@ class TestControlField:
         rng = np.random.default_rng(13)
         base = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                            alpha=0.2, beta=0.35)
+        rhs = control_rhs(base, 0.4)
         for _ in range(1000):
             K, E = rng.uniform(0.1, 10.0, size=2)
             s_r = rng.uniform(0.01, 0.5)
-            d = control_field(base, 0.4, ControlledState(EconState(K, E), s_r))
-            ref = basic_field(replace(base, s_r=s_r), EconState(K, E))
+            d = rhs(np.array([K, E, s_r]))
+            ref = basic_rhs(replace(base, s_r=s_r))(np.array([K, E]))
             assert d[0] == pytest.approx(ref[0], rel=1e-14)
             assert d[1] == pytest.approx(ref[1], rel=1e-14)

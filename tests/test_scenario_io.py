@@ -1,4 +1,5 @@
 import json
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,12 +168,6 @@ class TestSweep:
         assert rows[1].error is None
         assert rows[1].Y == pytest.approx(1.4271, abs=1e-3)
 
-    def test_parallel_rows_identical(self):
-        base = replace(read_scenario("basic_baseline.json"), sample_step=1.0)
-        spec = SweepSpec(base=base, parameter="delta_r",
-                         values=(0.25, 0.21, 0.17), report_time=200.0)
-        assert run_sweep(spec, jobs=3) == run_sweep(spec, jobs=1)
-
     def test_spec_validation(self):
         base = read_scenario("basic_baseline.json")
         with pytest.raises(ValidationError):
@@ -184,6 +179,22 @@ class TestSweep:
         with pytest.raises(ValidationError):
             SweepSpec(base=base, parameter="s_r", values=(),
                       report_time=200.0)
+
+    def test_report_time_must_be_on_sample_grid(self):
+        base = replace(read_scenario("basic_baseline.json"), horizon=10.0,
+                       sample_step=0.5)
+        for off_grid in (3.3, -0.5, 10.5):
+            with pytest.raises(ValidationError) as exc:
+                SweepSpec(base=base, parameter="s_r", values=(0.1,),
+                          report_time=off_grid)
+            assert exc.value.field == "report_time"
+        row = run_sweep(SweepSpec(base=base, parameter="s_r", values=(0.1,),
+                                  report_time=3.5))[0]
+        ref = run_scenario(base)
+        assert row.Y == ref["Y"][7] and ref.times[7] == 3.5
+        # a horizon off the step multiples is itself a sample time
+        base = replace(base, horizon=10.2)
+        SweepSpec(base=base, parameter="s_r", values=(0.1,), report_time=10.2)
 
 
 class TestCsv:
@@ -248,6 +259,13 @@ class TestRenderSvg:
         t = np.linspace(0.0, 1.0, 11)
         args = [("a", t, np.sin(t))]
         assert render_svg(args) == render_svg(args)
+
+    def test_text_is_escaped(self):
+        t = np.array([0.0, 1.0])
+        svg = render_svg([("K<E & Y", t, t)], title="K & E <1>")
+        texts = [el.text for el in ET.fromstring(svg).iter()
+                 if el.tag.endswith("text")]
+        assert "K & E <1>" in texts and "K<E & Y" in texts
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeries):
