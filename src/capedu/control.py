@@ -8,7 +8,7 @@ import numpy as np
 
 from . import model
 from .analysis import controlled_equilibrium
-from .errors import NoSignChange
+from .errors import NoSignChange, ValidationError
 from .integrator import IntegratorSettings, integrate
 from .model import EconState, ModelParams, production
 from .trajectory import Trajectory, build_trajectory
@@ -35,9 +35,9 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
     [s_r_floor, 1 - s_k].
     """
     if not 0 < p < 1 - params.s_k:
-        raise ValueError(f"need 0 < p < 1 - s_k, got p={p}")
+        raise ValidationError("p", f"need 0 < p < 1 - s_k, got p={p}")
     if not s_r0 > 0:
-        raise ValueError("s_r0 must be positive")
+        raise ValidationError("s_r0", f"must be positive, got {s_r0}")
     y0 = np.array([econ0.K, econ0.E, s_r0])
     raw = integrate(model.control_rhs(params, p), y0,
                     0.0, horizon, settings, sample_step)

@@ -8,6 +8,7 @@ is involved, so the sample grid never depends on the internal step sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,6 +90,12 @@ def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:
     return grid
 
 
+def _where(t: float, h: float, y: np.ndarray) -> str:
+    """Where a failed step started: its time, size and accepted state."""
+    state = ", ".join(f"{v:.6g}" for v in y)
+    return f"from t={t:.6g} with h={h:.6g}, y=[{state}]"
+
+
 def integrate(
     field: Callable[[np.ndarray], np.ndarray],
     y0,
@@ -101,11 +108,16 @@ def integrate(
 
     The final time t1 is always included in the output grid.  Raises
     StepLimitExceeded when the step budget runs out and NonFiniteState when
-    the solution leaves the finite domain; domain errors raised by the field
-    propagate unchanged.
+    the solution leaves the finite domain; a DomainError raised by the field
+    is raised again as a DomainError.  Each of them names the failed step's
+    start time t, step size h and state y.  ValueError flags bad arguments,
+    including a non-finite t0, t1 or sample_step.
     """
     if settings is None:
         settings = DEFAULT_SETTINGS
+    if not all(map(math.isfinite, (t0, t1, sample_step))):
+        raise ValueError("t0, t1 and sample_step must be finite, got "
+                         f"t0={t0}, t1={t1}, sample_step={sample_step}")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     if not sample_step > 0:
@@ -122,7 +134,8 @@ def integrate(
     out[0] = y
 
     rtol, atol = settings.rel_tol, settings.abs_tol
-    h = min(settings.initial_step, settings.max_step)
+    max_step, max_steps = settings.max_step, settings.max_steps
+    h = min(settings.initial_step, max_step)
     t = t0
     k = np.empty((7, y.size))
     k[6] = field(y)  # seeds FSAL
@@ -131,11 +144,11 @@ def integrate(
     for i in range(1, len(grid)):
         t_target = grid[i]
         while t < t_target - 1e-14 * max(1.0, abs(t_target)):
-            if steps >= settings.max_steps:
+            if steps >= max_steps:
                 raise StepLimitExceeded(
-                    f"max_steps={settings.max_steps} reached at t={t:.6g}")
+                    f"max_steps={max_steps} reached ({_where(t, h, y)})")
             steps += 1
-            h = min(h, settings.max_step, t_target - t)
+            h = min(h, max_step, t_target - t)
 
             k[0] = k[6]  # FSAL: last stage of the accepted step
             try:
@@ -143,14 +156,15 @@ def integrate(
                     ys = y + h * (_A[s] @ k[:s])
                     k[s] = field(ys)
             except DomainError as exc:
-                raise DomainError(f"{exc} (near t={t:.6g})") from exc
+                raise DomainError(f"{exc} ({_where(t, h, y)})") from exc
             y_new = y + h * (_B @ k)
-            if not np.all(np.isfinite(y_new)) or not np.all(np.isfinite(k)):
-                raise NonFiniteState(f"non-finite state near t={t:.6g}")
+            if not np.isfinite(y_new).all() or not np.isfinite(k).all():
+                raise NonFiniteState(
+                    f"non-finite state in the step ({_where(t, h, y)})")
 
             err_vec = h * (_E @ k)
             scale = atol + rtol * np.abs(y_new)
-            err = float(np.max(np.abs(err_vec) / scale))
+            err = float((np.abs(err_vec) / scale).max())
 
             if err <= 1.0:
                 t = t + h

@@ -12,6 +12,7 @@ Y = E^alpha * K^beta feeding proportional investments):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,13 +79,18 @@ class EconState:
         _require_positive(self.K, self.E)
 
 
+_INF = float("inf")
+
+
 def _require_positive(K, E):
     # fractional powers are undefined at non-positive bases; the economy
-    # model is meaningless there
-    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(E))):
+    # model is meaningless there.  Scalars only: this runs on every RHS
+    # call, and NaN fails every comparison, so the fast test misses no case.
+    if 0.0 < K < _INF and 0.0 < E < _INF:
+        return
+    if not (math.isfinite(K) and math.isfinite(E)):
         raise DomainError(f"non-finite state K={K}, E={E}")
-    if not (np.all(np.asarray(K) > 0) and np.all(np.asarray(E) > 0)):
-        raise DomainError(f"K and E must stay positive, got K={K}, E={E}")
+    raise DomainError(f"K and E must stay positive, got K={K}, E={E}")
 
 
 def production(params: ModelParams, state: EconState) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import html
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,7 +65,14 @@ class Scenario:
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ParseError(f"{where} must be a number, got {obj!r}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal too large for a double
+        value = math.inf
+    if not math.isfinite(value):
+        # json accepts the non-standard Infinity and NaN literals
+        raise ParseError(f"{where} must be a finite number, got {obj!r}")
+    return value
 
 
 def _block(doc: dict, name: str, required: tuple[str, ...],

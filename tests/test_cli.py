@@ -231,3 +231,37 @@ def test_error_exit_code(cls, basic_scenario, monkeypatch, capsys):
     assert run(["equilibrium", "--scenario", str(basic_scenario)]) == \
         EXIT_CODES[cls]
     assert "error:" in capsys.readouterr().err
+
+
+def test_tipping_p_out_of_range_is_exit_2(capsys):
+    # p_max = 0.7 lies above 1 - s_k = 0.6: bad input, not a usage error
+    path = SCENARIO_DIR / "controlled_p047.json"
+    assert run(["tipping", "--scenario", str(path),
+                "--p-min", "0.4", "--p-max", "0.7"]) == 2
+    assert "error: p: need 0 < p < 1 - s_k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block,key", [
+    (None, "horizon"), (None, "sample_step"), ("initial", "K"),
+])
+def test_non_finite_scenario_number_is_exit_2(block, key, basic_scenario,
+                                              tmp_path, capsys):
+    doc = json.loads(basic_scenario.read_text())
+    (doc if block is None else doc[block])[key] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))  # writes the literal Infinity
+    out = tmp_path / "run.csv"
+    assert run(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "--horizon", "inf"],
+    ["phase", "--scenario", str(SCENARIO_DIR / "basic_baseline.json"),
+     "--k-range", "1:6", "--e-range", "0.5:3", "--grid", "2x2",
+     "--horizon", "inf"],
+])
+def test_infinite_run_length_is_exit_1(argv, capsys):
+    assert run(argv) == 1
+    assert "error: t0, t1 and sample_step must be finite" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from capedu.control import find_tipping, long_run_outcome, simulate_controlled
-from capedu.errors import NoSignChange
+from capedu.errors import NoSignChange, ValidationError
 from capedu.model import EconState, ModelParams, production
 
 
@@ -41,9 +41,9 @@ class TestSimulateControlled:
         assert np.min(traj["s_r"]) < 0.08
 
     def test_input_checks(self, baseline_params, start_4_1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             simulate_controlled(baseline_params, 0.7, start_4_1, 0.1, 10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             simulate_controlled(baseline_params, 0.4, start_4_1, -0.1, 10.0)
 
     def test_conservation_per_row(self, baseline_params, start_4_1):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from capedu.errors import NonFiniteState, StepLimitExceeded
+from capedu.errors import DomainError, NonFiniteState, StepLimitExceeded
 from capedu.integrator import IntegratorSettings, integrate
+from capedu.model import ModelParams, basic_rhs
 
 
 def decay(y):
@@ -97,3 +98,38 @@ def test_bad_time_interval():
 def test_settings_validation(kwargs):
     with pytest.raises(ValueError):
         IntegratorSettings(**kwargs)
+
+
+@pytest.mark.parametrize("t0,t1,sample_step", [
+    (0.0, np.inf, 0.5),
+    (-np.inf, 1.0, 0.5),
+    (0.0, np.nan, 0.5),
+    (0.0, 1.0, np.inf),
+    (0.0, 1.0, np.nan),
+])
+def test_non_finite_times_rejected(t0, t1, sample_step):
+    with pytest.raises(ValueError, match="must be finite"):
+        integrate(decay, [1.0], t0, t1, sample_step=sample_step)
+
+
+def test_domain_error_names_t_h_and_state():
+    # decay this fast sends the first stage of a 0.5 step below K = 0
+    params = ModelParams(s_k=0.4, s_r=0.1, delta_k=50.0, delta_r=0.25,
+                         alpha=0.2, beta=0.35)
+    settings = IntegratorSettings(initial_step=0.5)
+    with pytest.raises(DomainError) as info:
+        integrate(basic_rhs(params), [4.0, 1.0], 0.0, 10.0, settings,
+                  sample_step=1.0)
+    message = str(info.value)
+    assert message.startswith("K and E must stay positive")
+    assert "t=0 " in message
+    assert "h=0.5," in message
+    assert "y=[4, 1]" in message
+
+
+def test_non_finite_state_names_t_h_and_state():
+    def field(y):
+        return np.array([np.nan]) if y[0] > 2.0 else y.copy()
+
+    with pytest.raises(NonFiniteState, match=r"t=\S+ with h=\S+, y=\[\S+\]"):
+        integrate(field, [1.0], 0.0, 20.0, sample_step=20.0)

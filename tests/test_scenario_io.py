@@ -90,6 +90,15 @@ class TestLoadScenario:
         with pytest.raises(ParseError, match="initial.K"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN",
+                                         "1" + "0" * 400])
+    def test_non_finite_number_rejected(self, literal):
+        # json accepts these; none of them is a usable scenario number
+        text = json.dumps(minimal_doc(horizon=0)).replace(
+            '"horizon": 0', f'"horizon": {literal}')
+        with pytest.raises(ParseError, match="horizon must be a finite"):
+            load_scenario(text)
+
     def test_superlinear_accepted_with_warning(self):
         doc = minimal_doc()
         doc["params"]["alpha"] = 0.6
