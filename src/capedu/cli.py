@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -64,16 +65,15 @@ def _fmt_eig(e: complex) -> str:
     return f"{e.real:.7g}{e.imag:+.7g}i"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     traj = scenario_io.run_scenario(_load(args.scenario))
     if traj.constraint_violation:
         print("warning: s_r left its admissible interval during the run",
               file=sys.stderr)
-    _write_output(scenario_io.write_trajectory_csv(traj), args.out)
-    return EXIT_OK
+    return scenario_io.write_trajectory_csv(traj)
 
 
-def _cmd_equilibrium(args) -> int:
+def _cmd_equilibrium(args) -> str:
     scenario = _load(args.scenario)
     if scenario.kind == "controlled":
         report = controlled_equilibrium(scenario.params, scenario.control.p)
@@ -86,24 +86,18 @@ def _cmd_equilibrium(args) -> int:
         "eigenvalues=" + ",".join(_fmt_eig(e) for e in report.eigenvalues),
         f"class={report.classification.value}",
     ]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     scenario = _load(args.scenario)
     values = tuple(float(v) for v in args.values.split(","))
     spec = scenario_io.SweepSpec(base=scenario, parameter=args.param,
                                  values=values, report_time=args.at)
-    if args.jobs is not None or "CAPEDU_JOBS" in os.environ:
-        print("warning: --jobs and CAPEDU_JOBS are deprecated and ignored; "
-              "sweep rows run in sequence", file=sys.stderr)
-    rows = scenario_io.run_sweep(spec)
-    _write_output(scenario_io.write_sweep_csv(rows), args.out)
-    return EXIT_OK
+    return scenario_io.write_sweep_csv(scenario_io.run_sweep(spec))
 
 
-def _cmd_tipping(args) -> int:
+def _cmd_tipping(args) -> str:
     scenario = _load(args.scenario)
     s_r0 = args.s_r0
     if s_r0 is None:
@@ -119,31 +113,28 @@ def _cmd_tipping(args) -> int:
         f"{result.growth_at_bracket[1]:.6g}",
         f"horizon={result.horizon_used:.6g}",
     ]
-    _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_chaos(args) -> int:
+def _cmd_chaos(args) -> str:
     settings = IntegratorSettings(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     raw = chaos_mod.simulate_ne9(b=args.b, x0=args.x0, y0=args.y0, z0=args.z0,
                                  horizon=args.horizon, settings=settings,
                                  sample_step=args.sample_step)
     series = chaos_mod.running_average(raw.times, raw.states[:, 0])
-    _write_output(f"A({args.horizon:g})={series.values[-1]:.6g}\n", args.out)
-    return EXIT_OK
+    return f"A({args.horizon:g})={series.values[-1]:.6g}\n"
 
 
-def _cmd_phase(args) -> int:
+def _cmd_phase(args) -> str:
     scenario = _load(args.scenario)
     portrait = scenario_io.phase_portrait(
         scenario.params, _parse_range(args.k_range),
         _parse_range(args.e_range), _parse_grid(args.grid),
         args.horizon, scenario.integrator)
-    _write_output(scenario_io.write_phase_csv(portrait), args.out)
-    return EXIT_OK
+    return scenario_io.write_phase_csv(portrait)
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> str:
     with open(args.csv) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
     if len(lines) < 2:
@@ -161,9 +152,7 @@ def _cmd_plot(args) -> int:
                 name, f"empty or non-finite value in data row {bad[0] + 1}")
     x = table[:, 0]
     series = [(name, x, table[:, header.index(name)]) for name in wanted]
-    svg = scenario_io.render_svg(series, title=args.title)
-    _write_output(svg, args.out)
-    return EXIT_OK
+    return scenario_io.render_svg(series, title=args.title)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,27 +160,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="capedu",
         description="Simulate and analyse the capital-education growth model.")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # every subcommand's --out
+    out.add_argument("--out", default=None,
+                     help="output file (default: stdout); written atomically")
+    add_parser = functools.partial(sub.add_parser, parents=[out])
 
     def scenario_flag(p):
         p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON document")
 
-    def out_flag(p):
-        p.add_argument("--out", default=None,
-                       help="output file (default: stdout); written atomically")
-
-    p = sub.add_parser("simulate", help="run one scenario, emit trajectory CSV")
+    p = add_parser("simulate", help="run one scenario, emit trajectory CSV")
     scenario_flag(p)
-    out_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("equilibrium",
-                       help="closed-form equilibrium, eigenvalues, stability")
+    p = add_parser("equilibrium",
+                   help="closed-form equilibrium, eigenvalues, stability")
     scenario_flag(p)
-    out_flag(p)
     p.set_defaults(func=_cmd_equilibrium)
 
-    p = sub.add_parser("sweep", help="rerun a scenario over parameter values")
+    p = add_parser("sweep", help="rerun a scenario over parameter values")
     scenario_flag(p)
     p.add_argument("--param", required=True,
                    help="parameter to vary (s_k, s_r, delta_k, delta_r, "
@@ -200,14 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated parameter values")
     p.add_argument("--at", type=float, required=True,
                    help="report time for Y and C")
-    p.add_argument("--jobs", default=None,
-                   help="deprecated and ignored: rows run in sequence")
-    out_flag(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("tipping",
-                       help="bisect for the consumption target where "
-                            "horizon output returns to its initial value")
+    p = add_parser("tipping",
+                   help="bisect for the consumption target where "
+                        "horizon output returns to its initial value")
     scenario_flag(p)
     p.add_argument("--p-min", type=float, required=True)
     p.add_argument("--p-max", type=float, required=True)
@@ -218,11 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-r0", dest="s_r0", type=float, default=None,
                    help="initial education investment fraction "
                         "(default: scenario control block, else 0.1)")
-    out_flag(p)
     p.set_defaults(func=_cmd_tipping)
 
-    p = sub.add_parser("chaos",
-                       help="run the chaotic driver, print its running average")
+    p = add_parser("chaos",
+                   help="run the chaotic driver, print its running average")
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument("--b", type=float, default=NE9_B_DEFAULT,
                    help="dissipation constant of the driver")
@@ -233,25 +216,22 @@ def build_parser() -> argparse.ArgumentParser:
                    default=chaos_mod.DEFAULT_SAMPLE_STEP)
     p.add_argument("--rel-tol", type=float, default=CHAOS_SETTINGS.rel_tol)
     p.add_argument("--abs-tol", type=float, default=CHAOS_SETTINGS.abs_tol)
-    out_flag(p)
     p.set_defaults(func=_cmd_chaos)
 
-    p = sub.add_parser("phase",
-                       help="vector-field samples plus orbits on a grid")
+    p = add_parser("phase",
+                   help="vector-field samples plus orbits on a grid")
     scenario_flag(p)
     p.add_argument("--k-range", required=True, help="LO:HI for capital")
     p.add_argument("--e-range", required=True, help="LO:HI for education")
     p.add_argument("--grid", default="8x8", help="NKxNE node counts")
     p.add_argument("--horizon", type=float, default=300.0)
-    out_flag(p)
     p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("plot", help="render a trajectory CSV as an SVG chart")
+    p = add_parser("plot", help="render a trajectory CSV as an SVG chart")
     p.add_argument("--csv", required=True, help="trajectory CSV file")
     p.add_argument("--columns", default="Y",
                    help="comma-separated columns to plot (default Y)")
     p.add_argument("--title", default="")
-    out_flag(p)
     p.set_defaults(func=_cmd_plot)
 
     return parser
@@ -265,7 +245,8 @@ def run(argv: list[str]) -> int:
         # argparse exits 0 for --help, 2 for usage errors; map the latter to 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.func(args)
+        _write_output(args.func(args), args.out)  # _cmd_* return their text
+        return EXIT_OK
     except CapEduError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

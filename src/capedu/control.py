@@ -13,7 +13,8 @@ from .integrator import IntegratorSettings, integrate
 from .model import EconState, ModelParams, production
 from .trajectory import Trajectory, build_trajectory
 
-__all__ = ["TippingResult", "simulate_controlled", "find_tipping", "long_run_outcome"]
+__all__ = ["TippingResult", "check_control", "simulate_controlled",
+           "find_tipping", "long_run_outcome"]
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,14 @@ class TippingResult:
     bracket: tuple[float, float]
     growth_at_bracket: tuple[float, float]  # Y(T) - Y(0) at the bracket ends
     horizon_used: float
+
+
+def check_control(params: ModelParams, p: float, s_r0: float) -> None:
+    """Raise ValidationError unless 0 < p < 1 - s_k and s_r0 > 0."""
+    if not 0 < p < 1 - params.s_k:
+        raise ValidationError("p", f"need 0 < p < 1 - s_k, got p={p}")
+    if not s_r0 > 0:
+        raise ValidationError("s_r0", f"must be positive, got {s_r0}")
 
 
 def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
@@ -34,10 +43,7 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
     constraint_violation flag reports any excursion outside
     [s_r_floor, 1 - s_k].
     """
-    if not 0 < p < 1 - params.s_k:
-        raise ValidationError("p", f"need 0 < p < 1 - s_k, got p={p}")
-    if not s_r0 > 0:
-        raise ValidationError("s_r0", f"must be positive, got {s_r0}")
+    check_control(params, p, s_r0)
     y0 = np.array([econ0.K, econ0.E, s_r0])
     raw = integrate(model.control_rhs(params, p), y0,
                     0.0, horizon, settings, sample_step)
@@ -51,8 +57,11 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     """Bisect on p for the target where output at the horizon returns to Y(0).
 
     The objective is dY(p) = Y(horizon; p) - Y(0); the bracket must straddle
-    a sign change, otherwise NoSignChange is raised.
+    a sign change, otherwise NoSignChange is raised.  tol must be finite and
+    positive: a NaN tolerance would end the bisection before its first step.
     """
+    if not 0 < tol < np.inf:
+        raise ValidationError("tol", f"must be finite and positive, got {tol}")
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
     y_start = production(params, econ0)

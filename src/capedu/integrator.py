@@ -23,19 +23,12 @@ __all__ = ["IntegratorSettings", "RawTrajectory", "integrate"]
 class IntegratorSettings:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    initial_step: float = 1e-3
-    max_step: float = 1.0
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if not 0 < self.initial_step <= self.max_step:
-            raise ValueError("need 0 < initial_step <= max_step")
-        if not self.max_steps > 0:
-            raise ValueError("max_steps must be positive")
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
@@ -51,9 +44,6 @@ class RawTrajectory:
 
     times: np.ndarray   # shape (n,), strictly increasing
     states: np.ndarray  # shape (n, dim)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 # Dormand-Prince 5(4) coefficients
@@ -78,6 +68,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = 1 / 5
+_INITIAL_STEP = 1e-3
+_MAX_STEP = 1.0
+_MAX_STEPS = 10_000_000
 
 
 def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:
@@ -134,8 +127,8 @@ def integrate(
     out[0] = y
 
     rtol, atol = settings.rel_tol, settings.abs_tol
-    max_step, max_steps = settings.max_step, settings.max_steps
-    h = min(settings.initial_step, max_step)
+    max_step, max_steps = _MAX_STEP, _MAX_STEPS
+    h = _INITIAL_STEP
     t = t0
     k = np.empty((7, y.size))
     k[6] = field(y)  # seeds FSAL

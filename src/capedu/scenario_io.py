@@ -10,7 +10,7 @@ from __future__ import annotations
 import html
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "PhasePortrait", "phase_portrait", "write_phase_csv",
 ]
 
-KINDS = ("basic", "controlled", "chaotic")
 SWEEPABLE = ("s_k", "s_r", "delta_k", "delta_r", "alpha", "beta", "p", "c")
 
 
@@ -47,6 +46,15 @@ class ChaosSpec:
     y0: float = model.NE9_START_DEFAULT[1]
     z0: float = model.NE9_START_DEFAULT[2]
     b: float = model.NE9_B_DEFAULT
+
+
+# the blocks each kind of scenario has beside the shared ones, and the class
+# each block parses into; a block's keys are the fields of its class
+BLOCKS = {"basic": {}, "controlled": {"control": ControlSpec},
+          "chaotic": {"chaos": ChaosSpec}}
+_SHARED_BLOCKS = {"params": ModelParams, "initial": EconState,
+                  "integrator": IntegratorSettings}
+_KIND_BLOCKS = tuple(name for blocks in BLOCKS.values() for name in blocks)
 
 
 @dataclass(frozen=True)
@@ -75,22 +83,25 @@ def _number(obj, where: str) -> float:
     return value
 
 
-def _block(doc: dict, name: str, required: tuple[str, ...],
-           optional: dict[str, float]) -> dict[str, float]:
+def _block(doc: dict, name: str, cls):
+    """Build cls from the object doc[name], whose keys are its fields."""
     raw = doc[name]
     if not isinstance(raw, dict):
         raise ParseError(f"{name} must be an object")
-    unknown = set(raw) - set(required) - set(optional)
+    keys = fields(cls)
+    unknown = set(raw) - {f.name for f in keys}
     if unknown:
         raise ParseError(f"unknown key(s) in {name}: {sorted(unknown)}")
-    out = {}
-    for key in required:
-        if key not in raw:
-            raise ParseError(f"missing required field {name}.{key}")
-        out[key] = _number(raw[key], f"{name}.{key}")
-    for key, default in optional.items():
-        out[key] = _number(raw[key], f"{name}.{key}") if key in raw else default
-    return out
+    values = {}
+    for f in keys:
+        if f.name in raw:
+            values[f.name] = _number(raw[f.name], f"{name}.{f.name}")
+        elif f.default is MISSING:
+            raise ParseError(f"missing required field {name}.{f.name}")
+    try:
+        return cls(**values)  # ModelParams raises its own ValidationError
+    except (DomainError, ValueError) as exc:
+        raise ValidationError(name, str(exc)) from exc
 
 
 def load_scenario(text: str) -> Scenario:
@@ -102,39 +113,29 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
 
-    known = {"kind", "params", "initial", "control", "chaos",
-             "horizon", "sample_step", "integrator"}
-    unknown = set(doc) - known
+    # the top-level keys are Scenario's fields; warnings are derived, not read
+    keys = [f for f in fields(Scenario) if f.name != "warnings"]
+    unknown = set(doc) - {f.name for f in keys}
     if unknown:
         raise ParseError(f"unknown top-level key(s): {sorted(unknown)}")
-    for key in ("kind", "params", "initial", "horizon", "sample_step"):
-        if key not in doc:
-            raise ParseError(f"missing required field {key}")
+    for f in keys:
+        if f.default is MISSING and f.name not in doc:
+            raise ParseError(f"missing required field {f.name}")
 
     kind = doc["kind"]
-    if kind not in KINDS:
-        raise ValidationError("kind", f"must be one of {KINDS}, got {kind!r}")
-    if kind == "controlled" and "control" not in doc:
-        raise ParseError("controlled scenario requires a control block")
-    if kind == "chaotic" and "chaos" not in doc:
-        raise ParseError("chaotic scenario requires a chaos block")
-    if kind != "controlled" and "control" in doc:
-        raise ParseError(f"control block not allowed for kind={kind}")
-    if kind != "chaotic" and "chaos" in doc:
-        raise ParseError(f"chaos block not allowed for kind={kind}")
+    if not isinstance(kind, str) or kind not in BLOCKS:
+        raise ValidationError(
+            "kind", f"must be one of {tuple(BLOCKS)}, got {kind!r}")
+    for name in BLOCKS[kind]:
+        if name not in doc:
+            raise ParseError(f"{kind} scenario requires a {name} block")
+    for name in _KIND_BLOCKS:
+        if name in doc and name not in BLOCKS[kind]:
+            raise ParseError(f"{name} block not allowed for kind={kind}")
 
-    p_raw = _block(doc, "params",
-                   ("s_k", "s_r", "delta_k", "delta_r", "alpha", "beta"),
-                   {"s_r_floor": 0.0})
-    params = ModelParams(**p_raw)  # raises ValidationError on bad ranges
-
-    init = _block(doc, "initial", ("K", "E"), {})
-    if not init["K"] > 0:
-        raise ValidationError("initial.K", "must be positive")
-    if not init["E"] > 0:
-        raise ValidationError("initial.E", "must be positive")
-    initial = EconState(K=init["K"], E=init["E"])
-
+    blocks = {name: _block(doc, name, cls)
+              for name, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items()
+              if name in doc}
     horizon = _number(doc["horizon"], "horizon")
     if not horizon > 0:
         raise ValidationError("horizon", "must be positive")
@@ -142,70 +143,26 @@ def load_scenario(text: str) -> Scenario:
     if not sample_step > 0:
         raise ValidationError("sample_step", "must be positive")
 
-    control = None
-    if kind == "controlled":
-        blk = _block(doc, "control", ("p", "s_r0"), {})
-        if not 0 < blk["p"] < 1:
-            raise ValidationError("control.p", "must lie in (0, 1)")
-        if not blk["p"] < 1 - params.s_k:
-            raise ValidationError("control.p", "must be below 1 - s_k")
-        if not blk["s_r0"] > 0:
-            raise ValidationError("control.s_r0", "must be positive")
-        control = ControlSpec(**blk)
-
-    chaos = None
-    if kind == "chaotic":
-        blk = _block(doc, "chaos", ("c",),
-                     {"x0": ChaosSpec.x0, "y0": ChaosSpec.y0,
-                      "z0": ChaosSpec.z0, "b": ChaosSpec.b})
-        chaos = ChaosSpec(**blk)
-
-    integ = IntegratorSettings()
-    if "integrator" in doc:
-        blk = _block(doc, "integrator", (),
-                     {"rel_tol": integ.rel_tol, "abs_tol": integ.abs_tol})
-        try:
-            integ = IntegratorSettings(rel_tol=blk["rel_tol"],
-                                       abs_tol=blk["abs_tol"])
-        except ValueError as exc:
-            raise ValidationError("integrator", str(exc)) from exc
-
     warnings = ()
-    if params.alpha + params.beta >= 1:
+    if blocks["params"].alpha + blocks["params"].beta >= 1:
         # simulation is legal; only equilibrium analysis will refuse
         warnings = ("alpha + beta >= 1: no stable positive equilibrium",)
-
-    return Scenario(kind=kind, params=params, initial=initial,
-                    horizon=horizon, sample_step=sample_step,
-                    control=control, chaos=chaos, integrator=integ,
-                    warnings=warnings)
+    scenario = Scenario(kind=kind, horizon=horizon, sample_step=sample_step,
+                        warnings=warnings, **blocks)
+    if scenario.control is not None:
+        control_mod.check_control(scenario.params, scenario.control.p,
+                                  scenario.control.s_r0)
+    return scenario
 
 
 def dump_scenario(scenario: Scenario) -> str:
     """Serialize a Scenario so that load_scenario returns an identical value."""
-    p = scenario.params
-    doc: dict = {
-        "kind": scenario.kind,
-        "params": {
-            "s_k": p.s_k, "s_r": p.s_r,
-            "delta_k": p.delta_k, "delta_r": p.delta_r,
-            "alpha": p.alpha, "beta": p.beta,
-            "s_r_floor": p.s_r_floor,
-        },
-        "initial": {"K": scenario.initial.K, "E": scenario.initial.E},
-        "horizon": scenario.horizon,
-        "sample_step": scenario.sample_step,
-        "integrator": {
-            "rel_tol": scenario.integrator.rel_tol,
-            "abs_tol": scenario.integrator.abs_tol,
-        },
-    }
-    if scenario.control is not None:
-        doc["control"] = {"p": scenario.control.p, "s_r0": scenario.control.s_r0}
-    if scenario.chaos is not None:
-        ch = scenario.chaos
-        doc["chaos"] = {"c": ch.c, "x0": ch.x0, "y0": ch.y0, "z0": ch.z0,
-                        "b": ch.b}
+    s = scenario
+    doc = {"kind": s.kind, "params": asdict(s.params),
+           "initial": asdict(s.initial), "horizon": s.horizon,
+           "sample_step": s.sample_step, "integrator": asdict(s.integrator)}
+    for name in BLOCKS[s.kind]:
+        doc[name] = asdict(getattr(s, name))
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -227,6 +184,14 @@ def run_scenario(scenario: Scenario) -> Trajectory:
         s.horizon, s.integrator, s.sample_step)
 
 
+def _owner(kind: str, name: str) -> str | None:
+    """The block of a scenario of this kind that has the field name."""
+    for block, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items():
+        if name in {f.name for f in fields(cls)}:
+            return block
+    return None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     base: Scenario
@@ -238,12 +203,9 @@ class SweepSpec:
         if self.parameter not in SWEEPABLE:
             raise ValidationError("parameter",
                                   f"must be one of {SWEEPABLE}")
-        if self.parameter == "p" and self.base.kind != "controlled":
-            raise ValidationError("parameter",
-                                  "p only applies to controlled scenarios")
-        if self.parameter == "c" and self.base.kind != "chaotic":
-            raise ValidationError("parameter",
-                                  "c only applies to chaotic scenarios")
+        if _owner(self.base.kind, self.parameter) is None:
+            raise ValidationError("parameter", f"{self.parameter} does not "
+                                  f"apply to {self.base.kind} scenarios")
         if not self.values:
             raise ValidationError("values", "must be non-empty")
         # Trajectory.at snaps to the nearest sample, so an off-grid time
@@ -265,11 +227,9 @@ class SweepRow:
 
 
 def _apply_parameter(base: Scenario, name: str, value: float) -> Scenario:
-    if name == "p":
-        return replace(base, control=replace(base.control, p=value))
-    if name == "c":
-        return replace(base, chaos=replace(base.chaos, c=value))
-    return replace(base, params=replace(base.params, **{name: value}))
+    block = _owner(base.kind, name)
+    return replace(base, **{block: replace(getattr(base, block),
+                                           **{name: value})})
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -318,12 +278,6 @@ _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if hi == lo:
-        lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, n)
-
-
 def render_svg(series, title: str = "") -> str:
     """Standalone SVG with axes, polylines and a legend; deterministic text."""
     if not series:
@@ -368,14 +322,14 @@ def render_svg(series, title: str = "") -> str:
     out.append(
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" '
         'stroke="black"/>')
-    for x in _ticks(x_lo, x_hi):
+    for x in np.linspace(x_lo, x_hi, 5):
         px = sx(x)
         out.append(f'<line x1="{px:.2f}" y1="{_H - _MB}" x2="{px:.2f}" '
                    f'y2="{_H - _MB + 5}" stroke="black"/>')
         out.append(f'<text x="{px:.2f}" y="{_H - _MB + 20}" '
                    'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="12">{x:.4g}</text>')
-    for y in _ticks(y_lo, y_hi):
+    for y in np.linspace(y_lo, y_hi, 5):
         py = sy(y)
         out.append(f'<line x1="{_ML - 5}" y1="{py:.2f}" x2="{_ML}" '
                    f'y2="{py:.2f}" stroke="black"/>')
@@ -417,8 +371,10 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
     """Vector-field samples on a grid plus one trajectory seeded per node."""
     k_lo, k_hi = map(float, k_range)
     e_lo, e_hi = map(float, e_range)
-    if not (0 < k_lo < k_hi and 0 < e_lo < e_hi):
-        raise DomainError("ranges must be positive and increasing")
+    if not 0 < k_lo < k_hi:
+        raise ValidationError("k_range", "must be positive and increasing")
+    if not 0 < e_lo < e_hi:
+        raise ValidationError("e_range", "must be positive and increasing")
     nk, ne = grid
     if nk < 2 or ne < 2:
         raise ValueError("grid must be at least 2x2")

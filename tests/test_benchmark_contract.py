@@ -11,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from capedu import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+SCENARIOS = ROOT / "scenarios"
 
 
 def _load_tracing():
@@ -41,3 +45,25 @@ def test_every_traced_attribute_resolves():
 ])
 def test_workload_imports_exist(mod, attr):
     assert callable(getattr(importlib.import_module(mod), attr))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", str(SCENARIOS / "basic_baseline.json")],
+    ["simulate", "--scenario", str(SCENARIOS / "controlled_p047.json")],
+    ["simulate", "--scenario", str(SCENARIOS / "chaotic_plus.json")],
+    ["chaos", "--horizon", "10"],
+], ids=["basic", "controlled", "chaotic", "chaos"])
+def test_trace_sees_every_run(argv, capsys):
+    # the trace counts runs through the integrate attributes it wraps; a run
+    # that reaches the integrator another way would be missing from it
+    tracing = _load_tracing()
+    tracing.capture_originals()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.run(argv) == 0
+    finally:
+        tracer.uninstall()
+    tracing.assert_untraced()
+    calls, _, steps = tracing.integrate_counts(tracer.spans)
+    assert calls == 1 and steps > 0

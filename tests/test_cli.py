@@ -70,7 +70,7 @@ def test_equilibrium_controlled(capsys):
 def test_sweep(basic_scenario, capsys):
     assert run(["sweep", "--scenario", str(basic_scenario),
                 "--param", "delta_r", "--values", "0.25,0.15",
-                "--at", "200", "--jobs", "2"]) == 0
+                "--at", "200"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "value,Y,C,error"
     assert lines[1].startswith("0.25,1.427")
@@ -161,28 +161,26 @@ def test_failed_run_writes_nothing(tmp_path):
     assert list(tmp_path.glob(".capedu-*")) == []
 
 
-def test_jobs_env_default(basic_scenario, monkeypatch, capsys):
-    monkeypatch.setenv("CAPEDU_JOBS", "1")
-    assert run(["sweep", "--scenario", str(basic_scenario),
-                "--param", "s_r", "--values", "0.1", "--at", "200"]) == 0
-    assert capsys.readouterr().out.startswith("value,Y,C,error")
-
-
-def test_jobs_deprecated_and_ignored(basic_scenario, monkeypatch, capsys):
-    monkeypatch.setenv("CAPEDU_JOBS", "abc")
-    assert run(["simulate", "--scenario", str(basic_scenario)]) == 0
-    assert "deprecated" not in capsys.readouterr().err
-    sweep = ["sweep", "--scenario", str(basic_scenario), "--param", "s_r",
-             "--values", "0.1,0.2", "--at", "200"]
-    assert run(sweep) == 0
-    warned = capsys.readouterr()
-    assert warned.err.count("deprecated") == 1
-    monkeypatch.delenv("CAPEDU_JOBS")
-    assert run(sweep + ["--jobs", "many"]) == 0
-    assert capsys.readouterr().err.count("deprecated") == 1
-    assert run(sweep) == 0
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "s_r", "--values", "0.1,0.2", "--at", "200"],
+    ["simulate"],
+], ids=["sweep", "simulate"])
+def test_jobs_env_is_ignored(argv, basic_scenario, monkeypatch, capsys):
+    argv = argv + ["--scenario", str(basic_scenario)]
+    monkeypatch.delenv("CAPEDU_JOBS", raising=False)
+    assert run(argv) == 0
     plain = capsys.readouterr()
-    assert plain.err == "" and plain.out == warned.out
+    monkeypatch.setenv("CAPEDU_JOBS", "abc")
+    assert run(argv) == 0
+    assert capsys.readouterr() == (plain.out, "")
+
+
+def test_jobs_flag_is_usage_error(basic_scenario, capsys):
+    assert run(["sweep", "--scenario", str(basic_scenario), "--param", "s_r",
+                "--values", "0.1", "--at", "200", "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert run(["sweep", "--help"]) == 0
+    assert "--jobs" not in capsys.readouterr().out
 
 
 def test_plot_rejects_empty_cell(tmp_path, capsys):
@@ -239,6 +237,31 @@ def test_tipping_p_out_of_range_is_exit_2(capsys):
     assert run(["tipping", "--scenario", str(path),
                 "--p-min", "0.4", "--p-max", "0.7"]) == 2
     assert "error: p: need 0 < p < 1 - s_k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tipping_bad_tol_is_exit_2(tol, capsys):
+    # a NaN tolerance used to end the bisection at once and print the
+    # midpoint of the input bracket
+    path = SCENARIO_DIR / "controlled_p047.json"
+    assert run(["tipping", "--scenario", str(path), "--p-min", "0.40",
+                "--p-max", "0.55", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tol: must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("k_range,e_range,field", [
+    ("8:0.5", "0.1:2", "k_range"),
+    ("0:8", "0.1:2", "k_range"),
+    ("0.5:8", "2:2", "e_range"),
+])
+def test_phase_bad_range_is_exit_2(k_range, e_range, field, capsys):
+    path = SCENARIO_DIR / "basic_baseline.json"
+    assert run(["phase", "--scenario", str(path), "--k-range", k_range,
+                "--e-range", e_range, "--grid", "2x2", "--horizon", "5"]) == 2
+    assert f"error: {field}: must be positive and increasing" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("block,key", [

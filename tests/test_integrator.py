@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capedu import integrator
 from capedu.errors import DomainError, NonFiniteState, StepLimitExceeded
 from capedu.integrator import IntegratorSettings, integrate
 from capedu.model import ModelParams, basic_rhs
@@ -61,10 +62,10 @@ def test_deterministic_reruns():
     assert np.array_equal(a.times, b.times)
 
 
-def test_step_limit_exceeded():
-    settings = IntegratorSettings(max_steps=3)
-    with pytest.raises(StepLimitExceeded):
-        integrate(decay, [1.0], 0.0, 100.0, settings, sample_step=100.0)
+def test_step_limit_exceeded(monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 3)
+    with pytest.raises(StepLimitExceeded, match="max_steps=3 reached"):
+        integrate(decay, [1.0], 0.0, 100.0, sample_step=100.0)
 
 
 def test_non_finite_state_detected():
@@ -92,8 +93,6 @@ def test_bad_time_interval():
 @pytest.mark.parametrize("kwargs", [
     dict(rel_tol=0.0),
     dict(abs_tol=-1.0),
-    dict(initial_step=2.0, max_step=1.0),
-    dict(max_steps=0),
 ])
 def test_settings_validation(kwargs):
     with pytest.raises(ValueError):
@@ -112,14 +111,13 @@ def test_non_finite_times_rejected(t0, t1, sample_step):
         integrate(decay, [1.0], t0, t1, sample_step=sample_step)
 
 
-def test_domain_error_names_t_h_and_state():
+def test_domain_error_names_t_h_and_state(monkeypatch):
     # decay this fast sends the first stage of a 0.5 step below K = 0
     params = ModelParams(s_k=0.4, s_r=0.1, delta_k=50.0, delta_r=0.25,
                          alpha=0.2, beta=0.35)
-    settings = IntegratorSettings(initial_step=0.5)
+    monkeypatch.setattr(integrator, "_INITIAL_STEP", 0.5)
     with pytest.raises(DomainError) as info:
-        integrate(basic_rhs(params), [4.0, 1.0], 0.0, 10.0, settings,
-                  sample_step=1.0)
+        integrate(basic_rhs(params), [4.0, 1.0], 0.0, 10.0, sample_step=1.0)
     message = str(info.value)
     assert message.startswith("K and E must stay positive")
     assert "t=0 " in message

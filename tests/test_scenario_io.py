@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capedu.errors import DomainError, EmptySeries, ParseError, ValidationError
+from capedu.errors import EmptySeries, ParseError, ValidationError
 from capedu.model import ModelParams
 from capedu.scenario_io import (
     SweepSpec,
@@ -39,6 +41,133 @@ def minimal_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def maybe(draw, block, key, strategy):
+    """Set block[key] from strategy, or leave the optional key out."""
+    if draw(st.booleans()):
+        block[key] = draw(strategy)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Valid scenario documents of every kind, optional keys in or out."""
+    kind = draw(st.sampled_from(["basic", "controlled", "chaotic"]))
+    positive = st.one_of(st.integers(1, 1000), number(1e-6, 1e6))
+    s_k = draw(number(0.0, 0.9))
+    s_r = draw(number(0.01, 0.99 - s_k))
+    params = {"s_k": s_k, "s_r": s_r, "delta_k": draw(number(1e-3, 2.0)),
+              "delta_r": draw(number(1e-3, 2.0)),
+              "alpha": draw(number(0.01, 0.99)),
+              "beta": draw(number(0.01, 0.99))}
+    maybe(draw, params, "s_r_floor", number(0.0, s_r))
+    doc = {"kind": kind, "params": params,
+           "initial": {"K": draw(positive), "E": draw(positive)},
+           "horizon": draw(positive), "sample_step": draw(positive)}
+    if draw(st.booleans()):
+        doc["integrator"] = {}
+        for key in ("rel_tol", "abs_tol"):
+            maybe(draw, doc["integrator"], key, number(1e-14, 1e-2))
+    if kind == "controlled":
+        doc["control"] = {"p": draw(number(0.01, 0.99 - s_k)),
+                          "s_r0": draw(number(1e-3, 1.0))}
+    if kind == "chaotic":
+        doc["chaos"] = {"c": draw(number(-1.0, 1.0))}
+        for key in ("x0", "y0", "z0", "b"):
+            maybe(draw, doc["chaos"], key, number(-2.0, 2.0))
+    return doc
+
+
+# dump_scenario text of three checked-in scenarios, one of each kind
+DUMPED = {
+    "basic_baseline.json": """\
+{
+  "kind": "basic",
+  "params": {
+    "s_k": 0.4,
+    "s_r": 0.1,
+    "delta_k": 0.15,
+    "delta_r": 0.25,
+    "alpha": 0.2,
+    "beta": 0.35,
+    "s_r_floor": 0.0
+  },
+  "initial": {
+    "K": 4.0,
+    "E": 1.0
+  },
+  "horizon": 200.0,
+  "sample_step": 0.5,
+  "integrator": {
+    "rel_tol": 1e-08,
+    "abs_tol": 1e-10
+  }
+}
+""",
+    "controlled_p047.json": """\
+{
+  "kind": "controlled",
+  "params": {
+    "s_k": 0.4,
+    "s_r": 0.1,
+    "delta_k": 0.15,
+    "delta_r": 0.25,
+    "alpha": 0.2,
+    "beta": 0.35,
+    "s_r_floor": 0.0
+  },
+  "initial": {
+    "K": 4.0,
+    "E": 1.0
+  },
+  "horizon": 200.0,
+  "sample_step": 0.5,
+  "integrator": {
+    "rel_tol": 1e-08,
+    "abs_tol": 1e-10
+  },
+  "control": {
+    "p": 0.47,
+    "s_r0": 0.1
+  }
+}
+""",
+    "chaotic_plus.json": """\
+{
+  "kind": "chaotic",
+  "params": {
+    "s_k": 0.4,
+    "s_r": 0.1,
+    "delta_k": 0.15,
+    "delta_r": 0.15,
+    "alpha": 0.2,
+    "beta": 0.35,
+    "s_r_floor": 0.0
+  },
+  "initial": {
+    "K": 4.0,
+    "E": 1.0
+  },
+  "horizon": 200.0,
+  "sample_step": 0.05,
+  "integrator": {
+    "rel_tol": 1e-10,
+    "abs_tol": 1e-12
+  },
+  "chaos": {
+    "c": 0.5,
+    "x0": 0.5,
+    "y0": 0.0,
+    "z0": 0.0,
+    "b": 0.55
+  }
+}
+""",
+}
 
 
 class TestLoadScenario:
@@ -113,11 +242,51 @@ class TestLoadScenario:
         assert (s.chaos.x0, s.chaos.y0, s.chaos.z0) == (0.5, 0.0, 0.0)
         assert s.chaos.b == 0.55
 
+    @pytest.mark.parametrize("kind,block,key,value,field", [
+        ("controlled", "control", "p", 0.7, "p"),      # above 1 - s_k
+        ("controlled", "control", "p", 0.0, "p"),
+        ("controlled", "control", "s_r0", 0.0, "s_r0"),
+        ("basic", "initial", "K", -1.0, "initial"),
+        ("basic", "initial", "E", 0.0, "initial"),
+        ("basic", "integrator", "rel_tol", 0.0, "integrator"),
+    ])
+    def test_range_checks_name_the_field(self, kind, block, key, value, field):
+        doc = minimal_doc(kind=kind, control={"p": 0.47, "s_r0": 0.1},
+                          integrator={})
+        if kind != "controlled":
+            del doc["control"]
+        doc[block][key] = value
+        with pytest.raises(ValidationError) as exc:
+            load_scenario(json.dumps(doc))
+        assert exc.value.field == field
+
     def test_round_trip_identity(self):
         for name in ("basic_baseline.json", "controlled_p047.json",
                      "chaotic_plus.json"):
             s = read_scenario(name)
             assert load_scenario(dump_scenario(s)) == s
+
+    @pytest.mark.parametrize("name", sorted(DUMPED))
+    def test_dump_text_is_pinned(self, name):
+        # key order and number spelling are part of the format
+        assert dump_scenario(read_scenario(name)) == DUMPED[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=scenario_docs(), data=st.data())
+    def test_round_trip_over_random_documents(self, doc, data):
+        s = load_scenario(json.dumps(doc))
+        text = dump_scenario(s)
+        assert load_scenario(text) == s
+        dumped = json.loads(text)
+        for name, block in doc.items():
+            if isinstance(block, dict):     # given keys keep their values
+                assert all(dumped[name][k] == v for k, v in block.items())
+        # an unknown key in any block is rejected
+        name = data.draw(st.sampled_from(
+            [n for n, b in doc.items() if isinstance(b, dict)]))
+        doc[name]["unknown_key"] = 1.0
+        with pytest.raises(ParseError, match=f"unknown key.*in {name}"):
+            load_scenario(json.dumps(doc))
 
 
 class TestRunScenario:
@@ -307,8 +476,12 @@ class TestPhasePortrait:
         assert portrait.equilibrium is None
 
     def test_bad_ranges(self, baseline_params):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError) as exc:
             phase_portrait(baseline_params, (-1.0, 2.0), (0.5, 1.0))
+        assert exc.value.field == "k_range"
+        with pytest.raises(ValidationError) as exc:
+            phase_portrait(baseline_params, (1.0, 2.0), (1.0, 0.5))
+        assert exc.value.field == "e_range"
 
     def test_phase_csv_shape(self, baseline_params):
         portrait = phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
