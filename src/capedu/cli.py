@@ -29,15 +29,26 @@ def _write_output(text: str, out: str | None):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".capedu-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".capedu-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:  # name the user's path, not the temp file
+        raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _check_run_flags(args) -> None:
+    """A run's length and tolerances, where given, are finite and positive."""
+    for name in ("horizon", "sample_step", "rel_tol", "abs_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 < value < np.inf:
+            raise ValidationError(name, f"must be finite and positive, "
+                                        f"got {value}")
 
 
 def _load(path: str) -> scenario_io.Scenario:
@@ -49,14 +60,9 @@ def _load(path: str) -> scenario_io.Scenario:
     return scenario
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    a, _, b = text.partition("x")
-    return int(a), int(b)
+def _parse_pair(text: str, sep: str, cast) -> tuple:
+    a, _, b = text.partition(sep)  # "LO:HI" ranges, "NKxNE" grids
+    return cast(a), cast(b)
 
 
 def _fmt_eig(e: complex) -> str:
@@ -128,9 +134,9 @@ def _cmd_chaos(args) -> str:
 def _cmd_phase(args) -> str:
     scenario = _load(args.scenario)
     portrait = scenario_io.phase_portrait(
-        scenario.params, _parse_range(args.k_range),
-        _parse_range(args.e_range), _parse_grid(args.grid),
-        args.horizon, scenario.integrator)
+        scenario.params, _parse_pair(args.k_range, ":", float),
+        _parse_pair(args.e_range, ":", float),
+        _parse_pair(args.grid, "x", int), args.horizon, scenario.integrator)
     return scenario_io.write_phase_csv(portrait)
 
 
@@ -245,6 +251,7 @@ def run(argv: list[str]) -> int:
         # argparse exits 0 for --help, 2 for usage errors; map the latter to 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
+        _check_run_flags(args)
         _write_output(args.func(args), args.out)  # _cmd_* return their text
         return EXIT_OK
     except CapEduError as exc:

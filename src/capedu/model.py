@@ -109,7 +109,8 @@ def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:
     return (1.0 - params.s_k - s_r_current) * Y
 
 
-# Vector fields as closures over flat numpy states, for the integrator.
+# Vector fields as closures over flat numpy states, for the integrator.  Each
+# unpacks its state as Python floats: cheaper than numpy scalars, same bits.
 
 def basic_rhs(params: ModelParams):
     """d/dt (K, E) for the basic 2-D system."""
@@ -117,7 +118,7 @@ def basic_rhs(params: ModelParams):
     d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        K, E = v
+        K, E = v.tolist()
         _require_positive(K, E)
         Y = E ** a * K ** b
         return np.array([s_k * Y - d_k * K, s_r * Y - d_r * E])
@@ -128,7 +129,7 @@ def basic_rhs(params: ModelParams):
 def ne9_rhs(b: float = NE9_B_DEFAULT):
     """d/dt (x, y, z) of the chaotic driver."""
     def rhs(v: np.ndarray) -> np.ndarray:
-        x, y, z = v
+        x, y, z = v.tolist()
         return np.array([y, -x - y * z, -x * z + 7.0 * x * x - b])
 
     return rhs
@@ -140,7 +141,7 @@ def modulated_rhs(params: ModelParams, c: float, b: float = NE9_B_DEFAULT):
     d_k, d_r, al, be = params.delta_k, params.delta_r, params.alpha, params.beta
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        K, E, x, y, z = v
+        K, E, x, y, z = v.tolist()
         _require_positive(K, E)
         Y = E ** al * K ** be
         return np.array([
@@ -158,7 +159,7 @@ def control_rhs(params: ModelParams, p: float):
     d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
 
     def rhs(v: np.ndarray) -> np.ndarray:
-        K, E, s_r = v
+        K, E, s_r = v.tolist()
         _require_positive(K, E)
         Y = E ** a * K ** b
         return np.array([

@@ -136,19 +136,16 @@ def load_scenario(text: str) -> Scenario:
     blocks = {name: _block(doc, name, cls)
               for name, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items()
               if name in doc}
-    horizon = _number(doc["horizon"], "horizon")
-    if not horizon > 0:
-        raise ValidationError("horizon", "must be positive")
-    sample_step = _number(doc["sample_step"], "sample_step")
-    if not sample_step > 0:
-        raise ValidationError("sample_step", "must be positive")
+    timing = {k: _number(doc[k], k) for k in ("horizon", "sample_step")}
+    for name, value in timing.items():
+        if not value > 0:
+            raise ValidationError(name, "must be positive")
 
     warnings = ()
     if blocks["params"].alpha + blocks["params"].beta >= 1:
         # simulation is legal; only equilibrium analysis will refuse
         warnings = ("alpha + beta >= 1: no stable positive equilibrium",)
-    scenario = Scenario(kind=kind, horizon=horizon, sample_step=sample_step,
-                        warnings=warnings, **blocks)
+    scenario = Scenario(kind=kind, warnings=warnings, **timing, **blocks)
     if scenario.control is not None:
         control_mod.check_control(scenario.params, scenario.control.p,
                                   scenario.control.s_r0)
@@ -377,7 +374,7 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
         raise ValidationError("e_range", "must be positive and increasing")
     nk, ne = grid
     if nk < 2 or ne < 2:
-        raise ValueError("grid must be at least 2x2")
+        raise ValidationError("grid", f"must be at least 2x2, got {nk}x{ne}")
 
     rhs = model.basic_rhs(params)
     ks = np.linspace(k_lo, k_hi, nk)

@@ -9,17 +9,13 @@ import numpy as np
 from .integrator import RawTrajectory
 from .model import ModelParams
 
-__all__ = ["Trajectory", "STATE_COLUMNS", "COLUMN_ORDER", "build_trajectory"]
+__all__ = ["Trajectory", "STATE_COLUMNS", "build_trajectory"]
 
 # state columns per scenario kind; derived columns Y, C, I_k, I_r follow
 STATE_COLUMNS = {
     "basic": ("K", "E"),
     "controlled": ("K", "E", "s_r"),
     "chaotic": ("K", "E", "x", "y", "z"),
-}
-COLUMN_ORDER = {
-    kind: cols + ("Y", "C", "I_k", "I_r")
-    for kind, cols in STATE_COLUMNS.items()
 }
 
 
@@ -33,7 +29,7 @@ class Trajectory:
 
     @property
     def columns(self) -> tuple[str, ...]:
-        return COLUMN_ORDER[self.kind]
+        return STATE_COLUMNS[self.kind] + ("Y", "C", "I_k", "I_r")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]

@@ -18,12 +18,16 @@ PERFBENCH = ROOT / "perfbench"
 SCENARIOS = ROOT / "scenarios"
 
 
-def _load_tracing():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load_perfbench("tracing")
 
 
 def test_every_traced_attribute_resolves():
@@ -67,3 +71,19 @@ def test_trace_sees_every_run(argv, capsys):
     tracing.assert_untraced()
     calls, _, steps = tracing.integrate_counts(tracer.spans)
     assert calls == 1 and steps > 0
+
+
+def test_benchmark_selfcheck_passes(monkeypatch, tmp_path, capsys):
+    # the benchmark pins the step rule through exact RHS counts; a change to
+    # it must fail here before it reaches the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
+    bench = _load_perfbench("run")
+    bench.tracing.capture_originals()
+    tracer = bench.tracing.Tracer()
+    tracer.install()
+    try:
+        problems = bench.selfcheck(cli, tracer, str(tmp_path))
+    finally:
+        tracer.uninstall()
+    bench.tracing.assert_untraced()
+    assert problems == []

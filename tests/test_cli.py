@@ -285,6 +285,53 @@ def test_non_finite_scenario_number_is_exit_2(block, key, basic_scenario,
      "--k-range", "1:6", "--e-range", "0.5:3", "--grid", "2x2",
      "--horizon", "inf"],
 ])
-def test_infinite_run_length_is_exit_1(argv, capsys):
-    assert run(argv) == 1
-    assert "error: t0, t1 and sample_step must be finite" in capsys.readouterr().err
+def test_infinite_run_length_is_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert "error: horizon: must be finite and positive, got inf" in \
+        capsys.readouterr().err
+
+
+PHASE = ["phase", "--scenario", str(SCENARIO_DIR / "basic_baseline.json"),
+         "--k-range", "1:2", "--e-range", "0.5:1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tipping", "--scenario", str(SCENARIO_DIR / "controlled_p047.json"),
+      "--p-min", "0.4", "--p-max", "0.55", "--horizon", "-5"],
+     "horizon: must be finite and positive, got -5.0"),
+    (["chaos", "--horizon", "10", "--rel-tol", "nan"],
+     "rel_tol: must be finite and positive, got nan"),
+    (["chaos", "--horizon", "10", "--abs-tol", "0"],
+     "abs_tol: must be finite and positive, got 0.0"),
+    (["chaos", "--horizon", "10", "--sample-step", "0"],
+     "sample_step: must be finite and positive, got 0.0"),
+    (PHASE + ["--grid", "1x2", "--horizon", "5"],
+     "grid: must be at least 2x2, got 1x2"),
+], ids=["tipping-horizon", "chaos-rel-tol", "chaos-abs-tol",
+        "chaos-sample-step", "phase-grid"])
+def test_bad_run_flag_is_exit_2(argv, message, capsys):
+    # the same rule as a bad value in a scenario file: exit 2, field named
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_out_into_missing_directory_names_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run(PHASE + ["--grid", "2x2", "--horizon", "5",
+                        "--out", str(out)]) == 1
+    assert f"error: cannot write {out}: No such file or directory" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_onto_directory_names_the_path(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    assert run(PHASE + ["--grid", "2x2", "--horizon", "5",
+                        "--out", str(target)]) == 1
+    assert f"error: cannot write {target}: Is a directory" in \
+        capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [target]  # no temp file left behind
+    assert list(target.iterdir()) == []

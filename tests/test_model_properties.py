@@ -55,6 +55,7 @@ def test_guard_raises_exactly_outside_the_domain(name, K, E):
             rhs(state)
         assert str(info.value).startswith("non-finite") == (not finite)
         return
-    # the same float64 scalars the field unpacks from its state
+    # numpy float64 scalar arithmetic on the same state: the field's own
+    # Python-float arithmetic must give the same bits
     expected = written_out(name, state[0], state[1])
     assert np.array_equal(rhs(state), np.array(expected))

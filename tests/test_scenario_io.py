@@ -330,6 +330,17 @@ class TestSweep:
         ref = run_scenario(base).at(200.0)
         assert row.Y == ref["Y"] and row.C == ref["C"]
 
+    def test_endpoint_only_row_matches_single_run(self):
+        # crit 10 where the steps are set by error control alone: with one
+        # sample interval over T = 200 no step lands before the horizon
+        base = replace(read_scenario("basic_baseline.json"), sample_step=200.0)
+        spec = SweepSpec(base=base, parameter="delta_r", values=(0.25, 0.15),
+                         report_time=200.0)
+        for row, value in zip(run_sweep(spec), spec.values):
+            single = run_scenario(replace(
+                base, params=replace(base.params, delta_r=value))).at(200.0)
+            assert row.Y == single["Y"] and row.C == single["C"]
+
     def test_growth_increases_with_education_investment(self):
         base = read_scenario("basic_baseline.json")
         spec = SweepSpec(base=base, parameter="s_r",
@@ -482,6 +493,12 @@ class TestPhasePortrait:
         with pytest.raises(ValidationError) as exc:
             phase_portrait(baseline_params, (1.0, 2.0), (1.0, 0.5))
         assert exc.value.field == "e_range"
+
+    def test_grid_below_2x2_names_the_field(self, baseline_params):
+        with pytest.raises(ValidationError) as exc:
+            phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
+                           grid=(2, 1))
+        assert exc.value.field == "grid"
 
     def test_phase_csv_shape(self, baseline_params):
         portrait = phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
