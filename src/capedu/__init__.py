@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .integrator import IntegratorSettings, RawTrajectory, integrate
-from .model import EconState, ModelParams, consumption, investments, production
+from .model import EconState, ModelParams, consumption, production
 from .scenario_io import (
     ChaosSpec,
     ControlSpec,

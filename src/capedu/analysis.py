@@ -140,22 +140,13 @@ def controlled_equilibrium(params: ModelParams, p: float) -> EquilibriumReport:
     if s_r_star <= 0:
         raise InvalidTarget(
             f"target p={p} leaves s_r* = {s_r_star:.4g} <= 0")
-    at_star = replace(params, s_r=s_r_star)
-    K0, E0 = equilibrium(at_star)
-    Y0 = E0 ** params.alpha * K0 ** params.beta
-    jac2 = jacobian_basic(at_star)
-    jac3 = np.zeros((3, 3))
-    jac3[:2, :2] = jac2
-    jac3[1, 2] = Y0
-    jac3[2, 2] = -Y0
-    l1, l2 = eigen_basic(at_star)
-    eigs = (l1, l2, complex(-Y0))
-    return EquilibriumReport(
-        K0=K0, E0=E0, Y0=Y0,
-        jacobian=jac3,
-        eigenvalues=eigs,
-        classification=classify(eigs),
-    )
+    base = equilibrium_report(replace(params, s_r=s_r_star))
+    jac3 = np.pad(base.jacobian, ((0, 1), (0, 1)))
+    jac3[1, 2] = base.Y0
+    jac3[2, 2] = -base.Y0
+    eigs = base.eigenvalues + (complex(-base.Y0),)
+    return replace(base, jacobian=jac3, eigenvalues=eigs,
+                   classification=classify(eigs))
 
 
 def invariant_manifold(params: ModelParams) -> float | None:

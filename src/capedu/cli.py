@@ -14,7 +14,7 @@ from . import chaos as chaos_mod
 from . import control as control_mod
 from . import scenario_io
 from .analysis import controlled_equilibrium, equilibrium_report
-from .errors import CapEduError, EmptySeries, ValidationError
+from .errors import CapEduError, ValidationError
 from .integrator import CHAOS_SETTINGS, IntegratorSettings
 from .model import NE9_B_DEFAULT, NE9_START_DEFAULT
 
@@ -60,9 +60,17 @@ def _load(path: str) -> scenario_io.Scenario:
     return scenario
 
 
-def _parse_pair(text: str, sep: str, cast) -> tuple:
-    a, _, b = text.partition(sep)  # "LO:HI" ranges, "NKxNE" grids
-    return cast(a), cast(b)
+def _split(sep: str, cast, form: str, size: int | None = 2):
+    """argparse type for size numbers joined by sep (any count if None)."""
+    def parse(text: str) -> tuple:
+        parts = text.split(sep)
+        try:
+            if size is None or len(parts) == size:
+                return tuple(map(cast, parts))
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return parse
 
 
 def _fmt_eig(e: complex) -> str:
@@ -81,7 +89,7 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_equilibrium(args) -> str:
     scenario = _load(args.scenario)
-    if scenario.kind == "controlled":
+    if scenario.control is not None:
         report = controlled_equilibrium(scenario.params, scenario.control.p)
     else:
         report = equilibrium_report(scenario.params)
@@ -97,9 +105,8 @@ def _cmd_equilibrium(args) -> str:
 
 def _cmd_sweep(args) -> str:
     scenario = _load(args.scenario)
-    values = tuple(float(v) for v in args.values.split(","))
     spec = scenario_io.SweepSpec(base=scenario, parameter=args.param,
-                                 values=values, report_time=args.at)
+                                 values=args.values, report_time=args.at)
     return scenario_io.write_sweep_csv(scenario_io.run_sweep(spec))
 
 
@@ -134,20 +141,14 @@ def _cmd_chaos(args) -> str:
 def _cmd_phase(args) -> str:
     scenario = _load(args.scenario)
     portrait = scenario_io.phase_portrait(
-        scenario.params, _parse_pair(args.k_range, ":", float),
-        _parse_pair(args.e_range, ":", float),
-        _parse_pair(args.grid, "x", int), args.horizon, scenario.integrator)
+        scenario.params, args.k_range, args.e_range, args.grid,
+        args.horizon, scenario.integrator)
     return scenario_io.write_phase_csv(portrait)
 
 
 def _cmd_plot(args) -> str:
     with open(args.csv) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if len(lines) < 2:
-        raise EmptySeries("CSV has no data rows")
-    header = lines[0].split(",")
-    table = np.array([[float(v) if v else np.nan for v in ln.split(",")]
-                      for ln in lines[1:]])
+        header, table = scenario_io.read_trajectory_csv(fh.read())
     wanted = args.columns.split(",") if args.columns else header[1:]
     for name in [header[0], *wanted]:
         if name not in header:
@@ -187,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("sweep", help="rerun a scenario over parameter values")
     scenario_flag(p)
     p.add_argument("--param", required=True,
-                   help="parameter to vary (s_k, s_r, delta_k, delta_r, "
-                        "alpha, beta, p, c)")
+                   help=f"parameter to vary ({', '.join(scenario_io.SWEEPABLE)})")
     p.add_argument("--values", required=True,
+                   type=_split(",", float, "comma-separated numbers", None),
                    help="comma-separated parameter values")
     p.add_argument("--at", type=float, required=True,
                    help="report time for Y and C")
@@ -227,9 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("phase",
                    help="vector-field samples plus orbits on a grid")
     scenario_flag(p)
-    p.add_argument("--k-range", required=True, help="LO:HI for capital")
-    p.add_argument("--e-range", required=True, help="LO:HI for education")
-    p.add_argument("--grid", default="8x8", help="NKxNE node counts")
+    p.add_argument("--k-range", required=True, type=_split(":", float, "LO:HI"),
+                   help="LO:HI for capital")
+    p.add_argument("--e-range", required=True, type=_split(":", float, "LO:HI"),
+                   help="LO:HI for education")
+    p.add_argument("--grid", default="8x8", type=_split("x", int, "NKxNE"),
+                   help="NKxNE node counts")
     p.add_argument("--horizon", type=float, default=300.0)
     p.set_defaults(func=_cmd_phase)
 

@@ -47,7 +47,8 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
     y0 = np.array([econ0.K, econ0.E, s_r0])
     raw = integrate(model.control_rhs(params, p), y0,
                     0.0, horizon, settings, sample_step)
-    return build_trajectory("controlled", params, raw)
+    return build_trajectory(params, raw, ("K", "E", "s_r"),
+                            s_r=raw.states[:, 2])
 
 
 def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 __all__ = [
-    "ModelParams", "EconState", "production", "investments", "consumption",
+    "ModelParams", "EconState", "production", "consumption",
     "basic_rhs", "ne9_rhs", "modulated_rhs", "control_rhs",
     "NE9_B_DEFAULT", "NE9_START_DEFAULT",
 ]
@@ -97,11 +97,6 @@ def production(params: ModelParams, state: EconState) -> float:
     """Output level Y = E^alpha * K^beta."""
     _require_positive(state.K, state.E)
     return state.E ** params.alpha * state.K ** params.beta
-
-
-def investments(params: ModelParams, Y: float) -> tuple[float, float]:
-    """Capital and education investment flows (I_k, I_r) = (s_k*Y, s_r*Y)."""
-    return params.s_k * Y, params.s_r * Y
 
 
 def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:

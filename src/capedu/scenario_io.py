@@ -26,8 +26,8 @@ from .trajectory import Trajectory, build_trajectory
 __all__ = [
     "Scenario", "ControlSpec", "ChaosSpec", "SweepSpec", "SweepRow",
     "load_scenario", "dump_scenario", "run_scenario", "run_sweep",
-    "write_trajectory_csv", "write_sweep_csv", "render_svg",
-    "PhasePortrait", "phase_portrait", "write_phase_csv",
+    "write_trajectory_csv", "read_trajectory_csv", "write_sweep_csv",
+    "render_svg", "PhasePortrait", "phase_portrait", "write_phase_csv",
 ]
 
 SWEEPABLE = ("s_k", "s_r", "delta_k", "delta_r", "alpha", "beta", "p", "c")
@@ -67,7 +67,13 @@ class Scenario:
     control: ControlSpec | None = None
     chaos: ChaosSpec | None = None
     integrator: IntegratorSettings = IntegratorSettings()
-    warnings: tuple[str, ...] = ()
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        if self.params.alpha + self.params.beta >= 1:
+            # simulation is legal; only equilibrium analysis will refuse
+            return ("alpha + beta >= 1: no stable positive equilibrium",)
+        return ()
 
 
 def _number(obj, where: str) -> float:
@@ -113,8 +119,7 @@ def load_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
 
-    # the top-level keys are Scenario's fields; warnings are derived, not read
-    keys = [f for f in fields(Scenario) if f.name != "warnings"]
+    keys = fields(Scenario)  # the top-level keys are Scenario's fields
     unknown = set(doc) - {f.name for f in keys}
     if unknown:
         raise ParseError(f"unknown top-level key(s): {sorted(unknown)}")
@@ -141,11 +146,7 @@ def load_scenario(text: str) -> Scenario:
         if not value > 0:
             raise ValidationError(name, "must be positive")
 
-    warnings = ()
-    if blocks["params"].alpha + blocks["params"].beta >= 1:
-        # simulation is legal; only equilibrium analysis will refuse
-        warnings = ("alpha + beta >= 1: no stable positive equilibrium",)
-    scenario = Scenario(kind=kind, warnings=warnings, **timing, **blocks)
+    scenario = Scenario(kind=kind, **timing, **blocks)
     if scenario.control is not None:
         control_mod.check_control(scenario.params, scenario.control.p,
                                   scenario.control.s_r0)
@@ -170,7 +171,7 @@ def run_scenario(scenario: Scenario) -> Trajectory:
         y0 = np.array([s.initial.K, s.initial.E])
         raw = integrate(model.basic_rhs(s.params), y0, 0.0, s.horizon,
                         s.integrator, s.sample_step)
-        return build_trajectory("basic", s.params, raw)
+        return build_trajectory(s.params, raw, ("K", "E"))
     if s.kind == "controlled":
         return control_mod.simulate_controlled(
             s.params, s.control.p, s.initial, s.control.s_r0,
@@ -249,12 +250,22 @@ def _fmt(value: float) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory) -> str:
-    """Fixed column order per kind; full double precision; '\\n' separators."""
+    """Column t, then traj.columns; full double precision; '\\n' separators."""
     cols = traj.columns
     lines = ["t," + ",".join(cols)]
     for i, t in enumerate(traj.times):
         lines.append(",".join([_fmt(t)] + [_fmt(traj.data[c][i]) for c in cols]))
     return "\n".join(lines) + "\n"
+
+
+def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and float table of a trajectory CSV; an empty cell reads as NaN."""
+    lines = [ln for ln in text.splitlines() if ln]
+    if len(lines) < 2:
+        raise EmptySeries("CSV has no data rows")
+    table = np.array([[float(v) if v else np.nan for v in ln.split(",")]
+                      for ln in lines[1:]])
+    return tuple(lines[0].split(",")), table
 
 
 def write_sweep_csv(rows: list[SweepRow]) -> str:

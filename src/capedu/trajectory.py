@@ -9,27 +9,16 @@ import numpy as np
 from .integrator import RawTrajectory
 from .model import ModelParams
 
-__all__ = ["Trajectory", "STATE_COLUMNS", "build_trajectory"]
-
-# state columns per scenario kind; derived columns Y, C, I_k, I_r follow
-STATE_COLUMNS = {
-    "basic": ("K", "E"),
-    "controlled": ("K", "E", "s_r"),
-    "chaotic": ("K", "E", "x", "y", "z"),
-}
+__all__ = ["Trajectory", "build_trajectory"]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    kind: str
+    columns: tuple[str, ...]        # the state columns, then Y, C, I_k, I_r
     times: np.ndarray
     data: dict[str, np.ndarray] = field(repr=False)
     constraint_violation: bool = False
     min_effective_sk: float | None = None
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return STATE_COLUMNS[self.kind] + ("Y", "C", "I_k", "I_r")
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -40,29 +29,25 @@ class Trajectory:
         return {name: float(self.data[name][i]) for name in self.columns}
 
 
-def build_trajectory(kind: str, params: ModelParams, raw: RawTrajectory,
-                     c: float | None = None) -> Trajectory:
-    """Attach Y, C, I_k, I_r and the per-kind flags to a raw trajectory."""
-    cols = STATE_COLUMNS[kind]
-    data = {name: raw.states[:, j].copy() for j, name in enumerate(cols)}
-    K, E = data["K"], data["E"]
-    Y = E ** params.alpha * K ** params.beta
-    s_r = data["s_r"] if kind == "controlled" else params.s_r
-    # modulation acts on the capital investment flow, so the effective s_k
-    # enters I_k and C; conservation C + I_k + I_r = Y then holds exactly
-    s_k = params.s_k + c * data["x"] if kind == "chaotic" else params.s_k
-    data["Y"] = Y
-    data["C"] = (1.0 - s_k - s_r) * Y
-    data["I_k"] = s_k * Y
-    data["I_r"] = s_r * Y
+def build_trajectory(params: ModelParams, raw: RawTrajectory,
+                     state_columns: tuple[str, ...],
+                     s_k: np.ndarray | None = None,
+                     s_r: np.ndarray | None = None) -> Trajectory:
+    """Attach Y, C, I_k, I_r to a raw trajectory with the named state columns.
 
-    violated = False
-    min_eff = None
-    if kind == "controlled":
-        lo, hi = params.s_r_floor, 1.0 - params.s_k
-        violated = bool(np.any(data["s_r"] < lo) or np.any(data["s_r"] > hi))
-    elif kind == "chaotic":
-        min_eff = float(np.min(s_k))
-
-    return Trajectory(kind=kind, times=raw.times.copy(), data=data,
+    Pass s_k or s_r as the per-sample series of a fraction the run varies.
+    Each flag comes only from a series passed: constraint_violation from s_r
+    leaving [s_r_floor, 1 - s_k], min_effective_sk from s_k.
+    """
+    data = {name: raw.states[:, j].copy() for j, name in enumerate(state_columns)}
+    Y = data["E"] ** params.alpha * data["K"] ** params.beta
+    # a varied fraction enters its flow and C, so C + I_k + I_r = Y per row
+    sk = params.s_k if s_k is None else s_k
+    sr = params.s_r if s_r is None else s_r
+    data.update(Y=Y, C=(1.0 - sk - sr) * Y, I_k=sk * Y, I_r=sr * Y)
+    violated = s_r is not None and bool(
+        np.any(s_r < params.s_r_floor) or np.any(s_r > 1.0 - params.s_k))
+    min_eff = None if s_k is None else float(np.min(s_k))
+    return Trajectory(columns=tuple(state_columns) + ("Y", "C", "I_k", "I_r"),
+                      times=raw.times.copy(), data=data,
                       constraint_violation=violated, min_effective_sk=min_eff)

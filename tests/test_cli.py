@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from capedu import cli
+from capedu import cli, scenario_io
 from capedu.cli import run
 from capedu.errors import (
     CapEduError,
@@ -315,6 +315,48 @@ def test_bad_run_flag_is_exit_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+SWEEP = ["sweep", "--scenario", str(SCENARIO_DIR / "basic_baseline.json"),
+         "--param", "s_r", "--at", "10"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (PHASE + ["--grid", "2"], "--grid: expected NKxNE, got '2'"),
+    (PHASE + ["--grid", "2x"], "--grid: expected NKxNE, got '2x'"),
+    (PHASE + ["--k-range", "1"], "--k-range: expected LO:HI, got '1'"),
+    (PHASE + ["--k-range", "1:2:3"],
+     "--k-range: expected LO:HI, got '1:2:3'"),
+    (SWEEP + ["--values", "0.1,abc"],
+     "--values: expected comma-separated numbers, got '0.1,abc'"),
+    (SWEEP + ["--values", ","],
+     "--values: expected comma-separated numbers, got ','"),
+], ids=["grid-one-part", "grid-empty-part", "range-one-part",
+        "range-three-parts", "values-not-a-number", "values-empty"])
+def test_malformed_flag_is_usage_error_naming_the_form(argv, message,
+                                                       capsys):
+    # malformed text is a usage error (exit 1), like --horizon abc; a
+    # well-formed value out of range exits 2 (test_bad_run_flag_is_exit_2)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {message}\n" in captured.err
+
+
+def test_float_edge_basic_run_sets_no_flag(basic_scenario, capsys):
+    # s_k + s_r rounds to 1.0, so ModelParams accepts it, yet s_r > 1 - s_k;
+    # a basic run varies no fraction, so neither flag may be set
+    doc = json.loads(basic_scenario.read_text())
+    doc["params"].update(s_k=0.5, s_r=0.5 + 2 ** -53)
+    doc["horizon"] = 5
+    basic_scenario.write_text(json.dumps(doc))
+    scenario = scenario_io.load_scenario(basic_scenario.read_text())
+    assert scenario.params.s_r > 1 - scenario.params.s_k
+    traj = scenario_io.run_scenario(scenario)
+    assert traj.constraint_violation is False
+    assert traj.min_effective_sk is None
+    assert run(["simulate", "--scenario", str(basic_scenario)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_out_into_missing_directory_names_the_path(tmp_path, capsys):

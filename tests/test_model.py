@@ -8,7 +8,6 @@ from capedu.model import (
     basic_rhs,
     consumption,
     control_rhs,
-    investments,
     modulated_rhs,
     ne9_rhs,
     production,
@@ -84,17 +83,6 @@ class TestProduction:
 
 
 class TestFlows:
-    def test_investment_split(self, baseline_params):
-        assert investments(baseline_params, 1.0) == (0.4, 0.1)
-        assert investments(baseline_params, 0.0) == (0.0, 0.0)
-
-    def test_investment_at_controlled_equilibrium(self):
-        p = ModelParams(s_k=0.4, s_r=0.2, delta_k=0.15, delta_r=0.25,
-                        alpha=0.2, beta=0.35)
-        I_k, I_r = investments(p, 1.94195)
-        assert I_k == pytest.approx(0.77678, abs=1e-5)
-        assert I_r == pytest.approx(0.38839, abs=1e-5)
-
     def test_consumption_values(self, baseline_params):
         assert consumption(baseline_params, 0.13, 1.60357) == \
             pytest.approx(0.75368, abs=1e-5)
@@ -107,9 +95,9 @@ class TestFlows:
         for _ in range(200):
             s_r = rng.uniform(0.01, 0.5)
             Y = rng.uniform(0.1, 10.0)
-            I_k, _ = investments(baseline_params, Y)
             C = consumption(baseline_params, s_r, Y)
-            assert C + I_k + s_r * Y == pytest.approx(Y, rel=1e-12)
+            assert C + baseline_params.s_k * Y + s_r * Y == \
+                pytest.approx(Y, rel=1e-12)
 
 
 class TestBasicField:

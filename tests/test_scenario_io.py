@@ -15,6 +15,7 @@ from capedu.scenario_io import (
     dump_scenario,
     load_scenario,
     phase_portrait,
+    read_trajectory_csv,
     render_svg,
     run_scenario,
     run_sweep,
@@ -22,6 +23,7 @@ from capedu.scenario_io import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+from capedu.trajectory import Trajectory
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -80,6 +82,41 @@ def scenario_docs(draw):
         for key in ("x0", "y0", "z0", "b"):
             maybe(draw, doc["chaos"], key, number(-2.0, 2.0))
     return doc
+
+
+# the trajectory CSV header of each kind, as the README documents it
+CSV_COLUMNS = {
+    "basic": ("t", "K", "E", "Y", "C", "I_k", "I_r"),
+    "controlled": ("t", "K", "E", "s_r", "Y", "C", "I_k", "I_r"),
+    "chaotic": ("t", "K", "E", "x", "y", "z", "Y", "C", "I_k", "I_r"),
+}
+
+
+@st.composite
+def short_stable_runs(draw):
+    """Scenarios of every kind with alpha + beta < 1 over a short horizon.
+
+    The ranges keep K and E positive: the controlled s_r moves toward
+    1 - s_k - p > 0, and |c| * max|x| stays below s_k, as the driver's x
+    keeps within [-0.33, 0.7] from its default start.
+    """
+    kind = draw(st.sampled_from(sorted(CSV_COLUMNS)))
+    alpha = draw(number(0.05, 0.6))
+    s_k = draw(number(0.05, 0.8))
+    params = {"s_k": s_k, "s_r": draw(number(0.01, 0.95 - s_k)),
+              "delta_k": draw(number(0.01, 2.0)),
+              "delta_r": draw(number(0.01, 2.0)),
+              "alpha": alpha, "beta": draw(number(0.05, 0.95 - alpha))}
+    doc = minimal_doc(kind=kind, params=params,
+                      initial={"K": draw(number(0.5, 10.0)),
+                               "E": draw(number(0.5, 10.0))},
+                      horizon=draw(number(0.5, 3.0)), sample_step=0.25)
+    if kind == "controlled":
+        doc["control"] = {"p": draw(number(0.01, 0.99 - s_k)),
+                          "s_r0": draw(number(0.01, 1.0))}
+    if kind == "chaotic":
+        doc["chaos"] = {"c": draw(number(-0.9 * s_k, 0.9 * s_k))}
+    return load_scenario(json.dumps(doc))
 
 
 # dump_scenario text of three checked-in scenarios, one of each kind
@@ -309,6 +346,15 @@ class TestRunScenario:
         total = traj["C"] + traj["I_k"] + traj["I_r"]
         assert np.max(np.abs(total - traj["Y"]) / traj["Y"]) < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=short_stable_runs())
+    def test_conservation_and_columns_for_every_kind(self, scenario):
+        traj = run_scenario(scenario)
+        assert ("t",) + traj.columns == CSV_COLUMNS[scenario.kind]
+        flows = traj["C"], traj["I_k"], traj["I_r"]
+        scale = sum(np.abs(f) for f in flows)
+        assert np.all(np.abs(sum(flows) - traj["Y"]) <= 1e-12 * scale)
+
 
 class TestSweep:
     def test_education_decay_table(self):
@@ -414,6 +460,26 @@ class TestCsv:
             assert values[0] == traj.times[i]
             for v, col in zip(values[1:], traj.columns):
                 assert v == traj.data[col][i]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_through_reader(self, data):
+        # any double, including infinities, subnormals and -0.0
+        columns = data.draw(st.sampled_from(sorted(CSV_COLUMNS.values())))[1:]
+        n = data.draw(st.integers(1, 20))
+        doubles = st.lists(st.floats(allow_nan=False), min_size=n, max_size=n)
+
+        def series():
+            return np.array(data.draw(doubles), dtype=float)
+
+        traj = Trajectory(columns=columns, times=series(),
+                          data={name: series() for name in columns})
+        header, table = read_trajectory_csv(write_trajectory_csv(traj))
+        assert header == ("t",) + traj.columns
+        expected = np.column_stack(
+            [traj.times] + [traj.data[name] for name in columns])
+        assert np.array_equal(table, expected)
+        assert np.array_equal(np.signbit(table), np.signbit(expected))
 
     def test_sweep_csv(self):
         base = read_scenario("basic_baseline.json")
