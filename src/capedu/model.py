@@ -104,28 +104,29 @@ def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:
     return (1.0 - params.s_k - s_r_current) * Y
 
 
-# Vector fields as closures over flat numpy states, for the integrator.  Each
-# unpacks its state as Python floats: cheaper than numpy scalars, same bits.
+# Vector fields as closures for the integrator: each takes a flat numpy state,
+# unpacks it as Python floats and returns a list of floats, which is cheaper
+# than numpy scalars and arrays and gives the same bits.
 
 def basic_rhs(params: ModelParams):
     """d/dt (K, E) for the basic 2-D system."""
     s_k, s_r = params.s_k, params.s_r
     d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
 
-    def rhs(v: np.ndarray) -> np.ndarray:
+    def rhs(v: np.ndarray) -> list[float]:
         K, E = v.tolist()
         _require_positive(K, E)
         Y = E ** a * K ** b
-        return np.array([s_k * Y - d_k * K, s_r * Y - d_r * E])
+        return [s_k * Y - d_k * K, s_r * Y - d_r * E]
 
     return rhs
 
 
 def ne9_rhs(b: float = NE9_B_DEFAULT):
     """d/dt (x, y, z) of the chaotic driver."""
-    def rhs(v: np.ndarray) -> np.ndarray:
+    def rhs(v: np.ndarray) -> list[float]:
         x, y, z = v.tolist()
-        return np.array([y, -x - y * z, -x * z + 7.0 * x * x - b])
+        return [y, -x - y * z, -x * z + 7.0 * x * x - b]
 
     return rhs
 
@@ -135,15 +136,15 @@ def modulated_rhs(params: ModelParams, c: float, b: float = NE9_B_DEFAULT):
     s_k, s_r = params.s_k, params.s_r
     d_k, d_r, al, be = params.delta_k, params.delta_r, params.alpha, params.beta
 
-    def rhs(v: np.ndarray) -> np.ndarray:
+    def rhs(v: np.ndarray) -> list[float]:
         K, E, x, y, z = v.tolist()
         _require_positive(K, E)
         Y = E ** al * K ** be
-        return np.array([
+        return [
             (s_k + c * x) * Y - d_k * K,
             s_r * Y - d_r * E,
             y, -x - y * z, -x * z + 7.0 * x * x - b,
-        ])
+        ]
 
     return rhs
 
@@ -153,14 +154,14 @@ def control_rhs(params: ModelParams, p: float):
     s_k = params.s_k
     d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
 
-    def rhs(v: np.ndarray) -> np.ndarray:
+    def rhs(v: np.ndarray) -> list[float]:
         K, E, s_r = v.tolist()
         _require_positive(K, E)
         Y = E ** a * K ** b
-        return np.array([
+        return [
             s_k * Y - d_k * K,
             s_r * Y - d_r * E,
             (1.0 - s_k - s_r - p) * Y,
-        ])
+        ]
 
     return rhs

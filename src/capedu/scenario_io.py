@@ -21,7 +21,7 @@ from .analysis import equilibrium
 from .errors import CapEduError, DomainError, EmptySeries, ParseError, ValidationError
 from .integrator import IntegratorSettings, RawTrajectory, _sample_grid, integrate
 from .model import EconState, ModelParams
-from .trajectory import Trajectory, build_trajectory
+from .trajectory import Trajectory, build_trajectory, sample_index
 
 __all__ = [
     "Scenario", "ControlSpec", "ChaosSpec", "SweepSpec", "SweepRow",
@@ -206,11 +206,9 @@ class SweepSpec:
                                   f"apply to {self.base.kind} scenarios")
         if not self.values:
             raise ValidationError("values", "must be non-empty")
-        # Trajectory.at snaps to the nearest sample, so an off-grid time
-        # would silently report a neighbouring row
+        # checked before any run, by the rule Trajectory.at applies
         grid = _sample_grid(0.0, self.base.horizon, self.base.sample_step)
-        gap = np.min(np.abs(grid - self.report_time))
-        if not gap <= 1e-9 * self.base.sample_step:
+        if sample_index(grid, self.report_time) is None:
             raise ValidationError(
                 "report_time", "must be a sample time of the base scenario "
                 "(a multiple of sample_step within [0, horizon], or horizon)")
@@ -259,13 +257,27 @@ def write_trajectory_csv(traj: Trajectory) -> str:
 
 
 def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """Header and float table of a trajectory CSV; an empty cell reads as NaN."""
+    """Header and float table of a trajectory CSV; an empty cell reads as NaN.
+
+    A data row with more or fewer cells than the header raises
+    ValidationError naming the row.
+    """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 2:
         raise EmptySeries("CSV has no data rows")
-    table = np.array([[float(v) if v else np.nan for v in ln.split(",")]
-                      for ln in lines[1:]])
-    return tuple(lines[0].split(",")), table
+    header = tuple(lines[0].split(","))
+    rows = [[float(v) if v else np.nan for v in ln.split(",")]
+            for ln in lines[1:]]
+    try:
+        table = np.array(rows)
+        if table.shape[1] == len(header):
+            return header, table
+    except ValueError:  # rows of different lengths
+        pass
+    i, row = next((i, row) for i, row in enumerate(rows, 1)
+                  if len(row) != len(header))
+    raise ValidationError("csv", f"data row {i} has {len(row)} cells, "
+                          f"the header has {len(header)}")
 
 
 def write_sweep_csv(rows: list[SweepRow]) -> str:
@@ -379,10 +391,12 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
     """Vector-field samples on a grid plus one trajectory seeded per node."""
     k_lo, k_hi = map(float, k_range)
     e_lo, e_hi = map(float, e_range)
-    if not 0 < k_lo < k_hi:
-        raise ValidationError("k_range", "must be positive and increasing")
-    if not 0 < e_lo < e_hi:
-        raise ValidationError("e_range", "must be positive and increasing")
+    if not 0 < k_lo < k_hi < math.inf:
+        raise ValidationError("k_range", "must be positive and increasing, "
+                              "with finite ends")
+    if not 0 < e_lo < e_hi < math.inf:
+        raise ValidationError("e_range", "must be positive and increasing, "
+                              "with finite ends")
     nk, ne = grid
     if nk < 2 or ne < 2:
         raise ValidationError("grid", f"must be at least 2x2, got {nk}x{ne}")

@@ -6,10 +6,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ValidationError
 from .integrator import RawTrajectory
 from .model import ModelParams
 
-__all__ = ["Trajectory", "build_trajectory"]
+__all__ = ["Trajectory", "build_trajectory", "sample_index"]
+
+
+def sample_index(times: np.ndarray, t: float) -> int | None:
+    """Index of the sample at time t, or None when t is not a sample time.
+
+    A time within 1e-9 of the first sample interval of a sample counts as
+    that sample, so a time written in decimal finds its grid point.
+    """
+    i = int(np.argmin(np.abs(times - t)))
+    return i if abs(times[i] - t) <= 1e-9 * (times[1] - times[0]) else None
 
 
 @dataclass(frozen=True)
@@ -24,8 +35,13 @@ class Trajectory:
         return self.data[name]
 
     def at(self, t: float) -> dict[str, float]:
-        """Row nearest to time t as a column -> value mapping."""
-        i = int(np.argmin(np.abs(self.times - t)))
+        """The row at sample time t as a column -> value mapping.
+
+        Raises ValidationError("t", ...) when t is not a sample time.
+        """
+        i = sample_index(self.times, t)
+        if i is None:
+            raise ValidationError("t", f"{t!r} is not a sample time")
         return {name: float(self.data[name][i]) for name in self.columns}
 
 

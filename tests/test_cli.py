@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,17 @@ def test_plot_rejects_empty_cell(tmp_path, capsys):
     assert "nan" not in svg.read_text()
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("0,1\n1,2,3\n", "data row 2 has 3 cells, the header has 2"),
+    ("0,1\n1\n", "data row 2 has 1 cells, the header has 2"),
+], ids=["row-too-long", "row-too-short"])
+def test_plot_ragged_csv_is_exit_2(rows, message, tmp_path, capsys):
+    csv = tmp_path / "run.csv"
+    csv.write_text("t,Y\n" + rows)
+    assert run(["plot", "--csv", str(csv)]) == 2
+    assert f"error: csv: {message}" in capsys.readouterr().err
+
+
 def test_plot_header_only_csv_is_exit_3(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     csv.write_text("t,Y\n")
@@ -255,11 +267,17 @@ def test_tipping_bad_tol_is_exit_2(tol, capsys):
     ("8:0.5", "0.1:2", "k_range"),
     ("0:8", "0.1:2", "k_range"),
     ("0.5:8", "2:2", "e_range"),
+    ("1:inf", "0.5:1", "k_range"),
+    ("1:2", "0.5:inf", "e_range"),
+    ("-inf:2", "0.5:1", "k_range"),
 ])
 def test_phase_bad_range_is_exit_2(k_range, e_range, field, capsys):
     path = SCENARIO_DIR / "basic_baseline.json"
-    assert run(["phase", "--scenario", str(path), "--k-range", k_range,
-                "--e-range", e_range, "--grid", "2x2", "--horizon", "5"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["phase", "--scenario", str(path), f"--k-range={k_range}",
+                    f"--e-range={e_range}", "--grid", "2x2",
+                    "--horizon", "5"]) == 2
     assert f"error: {field}: must be positive and increasing" in \
         capsys.readouterr().err
 

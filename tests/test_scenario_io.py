@@ -331,6 +331,16 @@ class TestRunScenario:
         traj = run_scenario(read_scenario("basic_baseline.json"))
         assert traj.at(200.0)["Y"] == pytest.approx(1.43, abs=0.01)
 
+    def test_at_rejects_a_time_off_the_sample_grid(self):
+        traj = run_scenario(replace(read_scenario("basic_baseline.json"),
+                                    horizon=1.0, sample_step=0.1))
+        assert traj.times[3] != 0.3  # 0.1 * 3 rounds to 0.30000000000000004
+        assert traj.at(0.3)["Y"] == traj["Y"][3]
+        for off_grid in (0.35, 0.3 + 1e-6, -0.1, 1.1, float("nan")):
+            with pytest.raises(ValidationError) as exc:
+                traj.at(off_grid)
+            assert exc.value.field == "t"
+
     def test_equal_start_same_equilibrium_different_path(self):
         a = run_scenario(read_scenario("basic_baseline.json"))
         b = run_scenario(read_scenario("basic_equal_start.json"))
