@@ -17,7 +17,6 @@ from .errors import (
     CapEduError,
     DomainError,
     EmptySeries,
-    InvalidTarget,
     NonFiniteState,
     NoSignChange,
     ParseError,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidTarget, StructurallyUnstable
+from .errors import StructurallyUnstable, ValidationError
 from .model import ModelParams
 
 __all__ = [
-    "Stability", "EquilibriumReport",
+    "Stability", "EquilibriumReport", "check_target",
     "equilibrium", "jacobian_basic", "eigen_basic", "classify",
     "equilibrium_report", "controlled_equilibrium", "invariant_manifold",
 ]
@@ -129,6 +129,12 @@ def equilibrium_report(params: ModelParams) -> EquilibriumReport:
     )
 
 
+def check_target(params: ModelParams, p: float) -> None:
+    """Raise ValidationError unless 0 < p < 1 - s_k, so that s_r* > 0."""
+    if not 0 < p < 1 - params.s_k:
+        raise ValidationError("p", f"need 0 < p < 1 - s_k, got p={p}")
+
+
 def controlled_equilibrium(params: ModelParams, p: float) -> EquilibriumReport:
     """Equilibrium report for the consumption-controlled 3-D system.
 
@@ -136,11 +142,8 @@ def controlled_equilibrium(params: ModelParams, p: float) -> EquilibriumReport:
     The 3x3 linearization is block-triangular: the top-left 2x2 block is the
     basic Jacobian at s_r*, and the third eigenvalue is -Y0.
     """
-    s_r_star = 1.0 - params.s_k - p
-    if s_r_star <= 0:
-        raise InvalidTarget(
-            f"target p={p} leaves s_r* = {s_r_star:.4g} <= 0")
-    base = equilibrium_report(replace(params, s_r=s_r_star))
+    check_target(params, p)
+    base = equilibrium_report(replace(params, s_r=1.0 - params.s_k - p))
     jac3 = np.pad(base.jacobian, ((0, 1), (0, 1)))
     jac3[1, 2] = base.Y0
     jac3[2, 2] = -base.Y0

@@ -32,10 +32,8 @@ def simulate_ne9(b: float = model.NE9_B_DEFAULT,
                  settings: IntegratorSettings | None = None,
                  sample_step: float = DEFAULT_SAMPLE_STEP) -> RawTrajectory:
     """Trajectory of the 3-D chaotic driver from (x0, y0, z0)."""
-    if settings is None:
-        settings = CHAOS_SETTINGS
     return integrate(model.ne9_rhs(b), np.array([x0, y0, z0]),
-                     0.0, horizon, settings, sample_step)
+                     0.0, horizon, settings or CHAOS_SETTINGS, sample_step)
 
 
 def running_average(times, values) -> AverageSeries:
@@ -66,10 +64,8 @@ def simulate_modulated(params: ModelParams, c: float, econ0: EconState,
     The returned trajectory carries Y and C series and the minimum of the
     effective capital coefficient over the run.
     """
-    if settings is None:
-        settings = CHAOS_SETTINGS
     y0 = np.array([econ0.K, econ0.E, *chaos0])
     raw = integrate(model.modulated_rhs(params, c, b), y0,
-                    0.0, horizon, settings, sample_step)
+                    0.0, horizon, settings or CHAOS_SETTINGS, sample_step)
     return build_trajectory(params, raw, ("K", "E", "x", "y", "z"),
                             s_k=params.s_k + c * raw.states[:, 2])

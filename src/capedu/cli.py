@@ -42,15 +42,6 @@ def _write_output(text: str, out: str | None):
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _check_run_flags(args) -> None:
-    """A run's length and tolerances, where given, are finite and positive."""
-    for name in ("horizon", "sample_step", "rel_tol", "abs_tol"):
-        value = getattr(args, name, None)
-        if value is not None and not 0 < value < np.inf:
-            raise ValidationError(name, f"must be finite and positive, "
-                                        f"got {value}")
-
-
 def _load(path: str) -> scenario_io.Scenario:
     with open(path) as fh:
         text = fh.read()
@@ -255,7 +246,6 @@ def run(argv: list[str]) -> int:
         # argparse exits 0 for --help, 2 for usage errors; map the latter to 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        _check_run_flags(args)
         _write_output(args.func(args), args.out)  # _cmd_* return their text
         return EXIT_OK
     except CapEduError as exc:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .analysis import controlled_equilibrium
-from .errors import NoSignChange, ValidationError
+from .analysis import check_target, controlled_equilibrium
+from .errors import NoSignChange, require_positive
 from .integrator import IntegratorSettings, integrate
 from .model import EconState, ModelParams, production
 from .trajectory import Trajectory, build_trajectory
@@ -26,11 +26,9 @@ class TippingResult:
 
 
 def check_control(params: ModelParams, p: float, s_r0: float) -> None:
-    """Raise ValidationError unless 0 < p < 1 - s_k and s_r0 > 0."""
-    if not 0 < p < 1 - params.s_k:
-        raise ValidationError("p", f"need 0 < p < 1 - s_k, got p={p}")
-    if not s_r0 > 0:
-        raise ValidationError("s_r0", f"must be positive, got {s_r0}")
+    """Raise ValidationError unless p and s_r0 are valid for a run."""
+    check_target(params, p)
+    require_positive("s_r0", s_r0)
 
 
 def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
@@ -58,11 +56,11 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     """Bisect on p for the target where output at the horizon returns to Y(0).
 
     The objective is dY(p) = Y(horizon; p) - Y(0); the bracket must straddle
-    a sign change, otherwise NoSignChange is raised.  tol must be finite and
-    positive: a NaN tolerance would end the bisection before its first step.
+    a sign change, otherwise NoSignChange is raised.  horizon, checked first,
+    and tol must be finite and positive: a NaN tol would end the bisection.
     """
-    if not 0 < tol < np.inf:
-        raise ValidationError("tol", f"must be finite and positive, got {tol}")
+    require_positive("horizon", horizon)
+    require_positive("tol", tol)
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
     y_start = production(params, econ0)

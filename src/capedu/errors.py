@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all capedu modules."""
 
+import math
+
 
 class CapEduError(Exception):
     """Base class for all errors raised by this package.
@@ -27,12 +29,6 @@ class StructurallyUnstable(CapEduError):
     """alpha + beta = 1: the positive equilibrium does not exist."""
 
 
-class InvalidTarget(CapEduError):
-    """Consumption target leaves no room for education investment."""
-
-    exit_code = 2
-
-
 class NoSignChange(CapEduError):
     """Bisection bracket does not straddle a sign change."""
 
@@ -43,8 +39,9 @@ class ParseError(CapEduError):
     exit_code = 2
 
 
-class ValidationError(CapEduError):
-    """A parameter violates its allowed range; names the field."""
+class ValidationError(CapEduError, ValueError):
+    """A parameter violates its allowed range; names the field.  It is also
+    a ValueError, the type of Python's own bad-argument errors."""
 
     exit_code = 2
 
@@ -55,3 +52,10 @@ class ValidationError(CapEduError):
 
 class EmptySeries(CapEduError):
     """Nothing to plot."""
+
+
+def require_positive(field: str, value: float) -> None:
+    """Raise ValidationError naming field unless value is finite and positive."""
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ValidationError(field,
+                              f"must be finite and positive, got {value}")

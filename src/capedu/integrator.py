@@ -16,7 +16,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteState, StepLimitExceeded
+from .errors import (DomainError, NonFiniteState, StepLimitExceeded,
+                     require_positive)
 
 __all__ = ["IntegratorSettings", "RawTrajectory", "integrate"]
 
@@ -27,9 +28,8 @@ class IntegratorSettings:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        require_positive("rel_tol", self.rel_tol)
+        require_positive("abs_tol", self.abs_tol)
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
@@ -105,18 +105,16 @@ def integrate(
     StepLimitExceeded when the step budget runs out and NonFiniteState when
     the solution leaves the finite domain; a DomainError raised by the field
     is raised again as a DomainError.  Each of them names the failed step's
-    start time t, step size h and state y.  ValueError flags bad arguments,
-    including a non-finite t0, t1 or sample_step, and a field that returns
-    the wrong number of values.
+    start time t, step size h and state y.  ValueError flags bad arguments:
+    a non-finite t0, a bad y0, a field that returns the wrong number of
+    values, and (as a ValidationError that names it) a run length t1 - t0,
+    named horizon, or a sample_step that is not finite and positive.
     """
     settings = settings or DEFAULT_SETTINGS
-    if not all(map(math.isfinite, (t0, t1, sample_step))):
-        raise ValueError("t0, t1 and sample_step must be finite, got "
-                         f"t0={t0}, t1={t1}, sample_step={sample_step}")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    if not sample_step > 0:
-        raise ValueError("sample_step must be positive")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    require_positive("horizon", t1 - t0)
+    require_positive("sample_step", sample_step)
 
     start = np.array(y0, dtype=float)
     if start.ndim != 1 or start.size < 1:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, require_positive
 
 __all__ = [
     "ModelParams", "EconState", "production", "consumption",
@@ -60,10 +60,8 @@ class ModelParams:
             raise ValidationError("s_r", "below s_r_floor")
         if self.s_k + self.s_r > 1:
             raise ValidationError("s_k", "s_k + s_r must not exceed 1")
-        if not self.delta_k > 0:
-            raise ValidationError("delta_k", "must be positive")
-        if not self.delta_r > 0:
-            raise ValidationError("delta_r", "must be positive")
+        require_positive("delta_k", self.delta_k)
+        require_positive("delta_r", self.delta_r)
         if not 0 < self.alpha < 1:
             raise ValidationError("alpha", "must lie in (0, 1)")
         if not 0 < self.beta < 1:
@@ -76,7 +74,8 @@ class EconState:
     E: float  # education / expertise stock
 
     def __post_init__(self):
-        _require_positive(self.K, self.E)
+        require_positive("K", self.K)
+        require_positive("E", self.E)
 
 
 _INF = float("inf")
@@ -95,7 +94,6 @@ def _require_positive(K, E):
 
 def production(params: ModelParams, state: EconState) -> float:
     """Output level Y = E^alpha * K^beta."""
-    _require_positive(state.K, state.E)
     return state.E ** params.alpha * state.K ** params.beta
 
 

@@ -18,8 +18,10 @@ from . import chaos as chaos_mod
 from . import control as control_mod
 from . import model
 from .analysis import equilibrium
-from .errors import CapEduError, DomainError, EmptySeries, ParseError, ValidationError
-from .integrator import IntegratorSettings, RawTrajectory, _sample_grid, integrate
+from .errors import (CapEduError, EmptySeries, ParseError, ValidationError,
+                     require_positive)
+from .integrator import (CHAOS_SETTINGS, IntegratorSettings, RawTrajectory,
+                         _sample_grid, integrate)
 from .model import EconState, ModelParams
 from .trajectory import Trajectory, build_trajectory, sample_index
 
@@ -90,7 +92,7 @@ def _number(obj, where: str) -> float:
 
 
 def _block(doc: dict, name: str, cls):
-    """Build cls from the object doc[name], whose keys are its fields."""
+    """Build cls, which checks its own ranges, from the object doc[name]."""
     raw = doc[name]
     if not isinstance(raw, dict):
         raise ParseError(f"{name} must be an object")
@@ -104,10 +106,7 @@ def _block(doc: dict, name: str, cls):
             values[f.name] = _number(raw[f.name], f"{name}.{f.name}")
         elif f.default is MISSING:
             raise ParseError(f"missing required field {name}.{f.name}")
-    try:
-        return cls(**values)  # ModelParams raises its own ValidationError
-    except (DomainError, ValueError) as exc:
-        raise ValidationError(name, str(exc)) from exc
+    return cls(**values)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -141,10 +140,11 @@ def load_scenario(text: str) -> Scenario:
     blocks = {name: _block(doc, name, cls)
               for name, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items()
               if name in doc}
+    if kind == "chaotic":  # chaos tolerances unless the document sets them
+        blocks.setdefault("integrator", CHAOS_SETTINGS)
     timing = {k: _number(doc[k], k) for k in ("horizon", "sample_step")}
     for name, value in timing.items():
-        if not value > 0:
-            raise ValidationError(name, "must be positive")
+        require_positive(name, value)
 
     scenario = Scenario(kind=kind, **timing, **blocks)
     if scenario.control is not None:
@@ -260,24 +260,31 @@ def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Header and float table of a trajectory CSV; an empty cell reads as NaN.
 
     A data row with more or fewer cells than the header raises
-    ValidationError naming the row.
+    ValidationError naming the row, and a cell that is not a number raises
+    it naming the column and the row.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 2:
         raise EmptySeries("CSV has no data rows")
     header = tuple(lines[0].split(","))
-    rows = [[float(v) if v else np.nan for v in ln.split(",")]
-            for ln in lines[1:]]
     try:
-        table = np.array(rows)
+        table = np.array([[float(v) if v else np.nan for v in ln.split(",")]
+                          for ln in lines[1:]])
         if table.shape[1] == len(header):
             return header, table
-    except ValueError:  # rows of different lengths
+    except ValueError:  # a ragged row or a cell that is not a number
         pass
-    i, row = next((i, row) for i, row in enumerate(rows, 1)
-                  if len(row) != len(header))
-    raise ValidationError("csv", f"data row {i} has {len(row)} cells, "
-                          f"the header has {len(header)}")
+    for i, line in enumerate(lines[1:], 1):  # find the first bad row
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValidationError("csv", f"data row {i} has {len(cells)} "
+                                  f"cells, the header has {len(header)}")
+        for name, cell in zip(header, cells):
+            try:
+                float(cell or "nan")
+            except ValueError:
+                raise ValidationError(name, f"non-numeric value {cell!r} in "
+                                      f"data row {i}") from None
 
 
 def write_sweep_csv(rows: list[SweepRow]) -> str:
@@ -389,21 +396,18 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
                    settings: IntegratorSettings | None = None,
                    sample_step: float = 1.0) -> PhasePortrait:
     """Vector-field samples on a grid plus one trajectory seeded per node."""
-    k_lo, k_hi = map(float, k_range)
-    e_lo, e_hi = map(float, e_range)
-    if not 0 < k_lo < k_hi < math.inf:
-        raise ValidationError("k_range", "must be positive and increasing, "
-                              "with finite ends")
-    if not 0 < e_lo < e_hi < math.inf:
-        raise ValidationError("e_range", "must be positive and increasing, "
-                              "with finite ends")
+    require_positive("horizon", horizon)  # first, as in find_tipping
+    for name, (lo, hi) in (("k_range", k_range), ("e_range", e_range)):
+        if not 0 < float(lo) < float(hi) < math.inf:
+            raise ValidationError(name, "must be positive and increasing, "
+                                  "with finite ends")
     nk, ne = grid
     if nk < 2 or ne < 2:
         raise ValidationError("grid", f"must be at least 2x2, got {nk}x{ne}")
 
     rhs = model.basic_rhs(params)
-    ks = np.linspace(k_lo, k_hi, nk)
-    es = np.linspace(e_lo, e_hi, ne)
+    ks = np.linspace(*map(float, k_range), nk)
+    es = np.linspace(*map(float, e_range), ne)
     samples = []
     trajectories = []
     for K in ks:

@@ -11,7 +11,7 @@ from capedu.analysis import (
     invariant_manifold,
     jacobian_basic,
 )
-from capedu.errors import InvalidTarget, StructurallyUnstable, ValidationError
+from capedu.errors import StructurallyUnstable, ValidationError
 from capedu.model import ModelParams, basic_rhs
 
 from test_model import random_params
@@ -143,8 +143,9 @@ class TestControlledEquilibrium:
         assert np.allclose(numeric, analytic, rtol=1e-10)
 
     def test_invalid_target(self, baseline_params):
-        with pytest.raises(InvalidTarget):
+        with pytest.raises(ValidationError) as exc:
             controlled_equilibrium(baseline_params, 0.6)
+        assert exc.value.field == "p"
 
     def test_floor_conflict_is_validation_error(self):
         p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,

@@ -10,7 +10,6 @@ from capedu.errors import (
     CapEduError,
     DomainError,
     EmptySeries,
-    InvalidTarget,
     NonFiniteState,
     NoSignChange,
     ParseError,
@@ -210,6 +209,19 @@ def test_plot_ragged_csv_is_exit_2(rows, message, tmp_path, capsys):
     assert f"error: csv: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,message", [
+    ("0,1\n1,abc\n", "Y: non-numeric value 'abc' in data row 2"),
+    ("x,1\n1,2\n", "t: non-numeric value 'x' in data row 1"),
+    ("0,1\n1,2,x\n", "csv: data row 2 has 3 cells, the header has 2"),
+], ids=["in-plotted-column", "in-time-column", "in-ragged-row"])
+def test_plot_non_numeric_cell_is_exit_2(rows, message, tmp_path, capsys):
+    # the first bad row is named, whether it is ragged or has a bad cell
+    csv = tmp_path / "run.csv"
+    csv.write_text("t,Y\n" + rows)
+    assert run(["plot", "--csv", str(csv)]) == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
 def test_plot_header_only_csv_is_exit_3(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     csv.write_text("t,Y\n")
@@ -221,7 +233,7 @@ def test_plot_header_only_csv_is_exit_3(tmp_path, capsys):
 EXIT_CODES = {
     CapEduError: 3, DomainError: 3, StepLimitExceeded: 3, NonFiniteState: 3,
     StructurallyUnstable: 3, NoSignChange: 3, EmptySeries: 3,
-    ParseError: 2, ValidationError: 2, InvalidTarget: 2,
+    ParseError: 2, ValidationError: 2,
 }
 
 

@@ -65,10 +65,12 @@ class TestProduction:
         assert y == pytest.approx(1.4271, abs=1e-3)
 
     def test_domain_guard(self, baseline_params):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError) as exc:
             EconState(-1.0, 1.0)
-        with pytest.raises(DomainError):
+        assert exc.value.field == "K"
+        with pytest.raises(ValidationError) as exc:
             EconState(1.0, 0.0)
+        assert exc.value.field == "E"
 
     def test_scaling_in_education(self, baseline_params):
         # multiplying E by lam**(1/alpha) multiplies output by lam

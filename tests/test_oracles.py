@@ -1,0 +1,123 @@
+"""Simulated runs checked against the closed forms in analysis.py.
+
+The closed forms stay independent of the solvers: find_tipping never sees
+the tipping root computed here, and the long-run properties compare an
+integrated end state with equilibrium() and controlled_equilibrium().
+"""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from capedu.analysis import controlled_equilibrium, eigen_basic, equilibrium
+from capedu.control import find_tipping, simulate_controlled
+from capedu.integrator import integrate
+from capedu.model import EconState, ModelParams, basic_rhs, production
+
+from conftest import BASELINE
+
+# Near a stable equilibrium the log-distance decays like exp(lambda*t), with
+# lambda the slowest eigenvalue's real part; the (1 + |lambda| t) factor
+# covers equal eigenvalues and TRANSIENT the growth before the decay sets in
+# (nearly equal eigenvalues with a strong coupling make it ~12).  DECAYS
+# slowest time constants make that term small beside INTEGRATION, ten times
+# the default rel_tol (the largest error seen over 2,000 draws was 1.7e-8).
+DECAYS = 40.0
+TRANSIENT = 1e3
+INTEGRATION = 1e-7
+# abs_tol 1e-10 stands for a relative error only on stocks well above it
+SMALLEST_STOCK = 1e-2
+# an explicit method's step is bounded by the fastest eigenvalue, so a run
+# over DECAYS slowest time constants takes about DECAYS x STIFFNESS steps
+STIFFNESS = 100.0
+
+
+def allowed(offset: float) -> float:
+    """The largest log-distance left after DECAYS slowest time constants."""
+    return (TRANSIENT * (1.0 + DECAYS) * math.exp(-DECAYS) * offset
+            + INTEGRATION)
+
+
+def closed_form_tipping_root(params: ModelParams, y_start: float) -> float:
+    """The p at which the controlled equilibrium output Y0 equals y_start.
+
+    At equilibrium K = Y s_k/delta_k and E = Y s_r*/delta_r, so
+    Y0^(1-alpha-beta) = (s_r*/delta_r)^alpha (s_k/delta_k)^beta; solve it
+    for s_r* = 1 - s_k - p.
+    """
+    a, b = params.alpha, params.beta
+    s_r_star = params.delta_r * (
+        y_start ** (1.0 - a - b)
+        / (params.s_k / params.delta_k) ** b) ** (1.0 / a)
+    return 1.0 - params.s_k - s_r_star
+
+
+def test_tipping_bracket_contains_the_closed_form_root():
+    params, start = ModelParams(**BASELINE), EconState(4.0, 1.0)
+    y_start = production(params, start)
+    root = closed_form_tipping_root(params, y_start)
+    # the root is where controlled_equilibrium's output returns to Y(0)
+    assert math.isclose(controlled_equilibrium(params, root).Y0, y_start,
+                        rel_tol=1e-12)
+    assert math.isclose(root, 0.466150, abs_tol=5e-7)
+    # criterion 6's search: T = 200, bracket [0.40, 0.55], tol 1e-3
+    result = find_tipping(params, start, 0.1, 200.0, 0.40, 0.55, tol=1e-3)
+    lo, hi = result.bracket
+    assert lo <= root <= hi
+
+
+@st.composite
+def stable_params(draw):
+    """Random parameters with alpha + beta < 1 (a stable equilibrium)."""
+    alpha = draw(st.floats(0.05, 0.8))
+    beta = draw(st.floats(0.05, 0.9 - alpha))
+    s_k = draw(st.floats(0.05, 0.6))
+    return ModelParams(s_k=s_k, s_r=draw(st.floats(0.02, 1.0 - s_k)),
+                       delta_k=draw(st.floats(0.05, 0.5)),
+                       delta_r=draw(st.floats(0.05, 0.5)),
+                       alpha=alpha, beta=beta)
+
+
+offsets = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=stable_params(), u=offsets, w=offsets)
+def test_basic_runs_end_at_the_equilibrium(params, u, w):
+    K0, E0 = equilibrium(params)
+    assume(min(K0, E0) >= SMALLEST_STOCK)
+    fastest, slowest = sorted(e.real for e in eigen_basic(params))
+    assert slowest < 0
+    assume(fastest / slowest <= STIFFNESS)
+    horizon = DECAYS / -slowest
+    raw = integrate(basic_rhs(params), [K0 * math.exp(u), E0 * math.exp(w)],
+                    0.0, horizon, sample_step=horizon)
+    K, E = raw.states[-1]
+    distance = max(abs(math.log(K / K0)), abs(math.log(E / E0)))
+    assert distance <= allowed(max(abs(u), abs(w)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=stable_params(), s_r_star=st.floats(0.02, 0.9),
+       u=offsets, w=offsets, v=offsets)
+def test_controlled_runs_end_at_the_controlled_equilibrium(
+        params, s_r_star, u, w, v):
+    s_r_star = min(s_r_star, 0.98 - params.s_k)
+    p = 1.0 - params.s_k - s_r_star
+    report = controlled_equilibrium(params, p)
+    assume(min(report.K0, report.E0) >= SMALLEST_STOCK)
+    fastest, *_, slowest = sorted(e.real for e in report.eigenvalues)
+    assert slowest < 0
+    # the third eigenvalue is -Y0: a large output level makes a run stiff
+    assume(fastest / slowest <= STIFFNESS)
+    horizon = DECAYS / -slowest
+    u, w, v = 0.5 * u, 0.5 * w, 0.5 * v
+    traj = simulate_controlled(
+        params, p, EconState(report.K0 * math.exp(u), report.E0 * math.exp(w)),
+        s_r_star * math.exp(v), horizon, sample_step=horizon)
+    end = traj.at(horizon)
+    distance = max(abs(math.log(end["K"] / report.K0)),
+                   abs(math.log(end["E"] / report.E0)),
+                   abs(end["s_r"] / s_r_star - 1.0))
+    assert distance <= allowed(max(abs(u), abs(w), abs(v)))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capedu.errors import EmptySeries, ParseError, ValidationError
+from capedu.integrator import CHAOS_SETTINGS, IntegratorSettings
 from capedu.model import ModelParams
 from capedu.scenario_io import (
     SweepSpec,
@@ -279,13 +280,27 @@ class TestLoadScenario:
         assert (s.chaos.x0, s.chaos.y0, s.chaos.z0) == (0.5, 0.0, 0.0)
         assert s.chaos.b == 0.55
 
+    def test_chaotic_default_settings(self):
+        doc = json.loads((SCENARIO_DIR / "chaotic_plus.json").read_text())
+        doc["horizon"] = 2
+        explicit = load_scenario(json.dumps(doc))
+        assert explicit.integrator == CHAOS_SETTINGS
+        del doc["integrator"]
+        implicit = load_scenario(json.dumps(doc))
+        assert implicit.integrator == CHAOS_SETTINGS
+        assert write_trajectory_csv(run_scenario(implicit)) == \
+            write_trajectory_csv(run_scenario(explicit))
+        # the other kinds keep the IntegratorSettings defaults
+        assert read_scenario("basic_baseline.json").integrator == \
+            IntegratorSettings()
+
     @pytest.mark.parametrize("kind,block,key,value,field", [
         ("controlled", "control", "p", 0.7, "p"),      # above 1 - s_k
         ("controlled", "control", "p", 0.0, "p"),
         ("controlled", "control", "s_r0", 0.0, "s_r0"),
-        ("basic", "initial", "K", -1.0, "initial"),
-        ("basic", "initial", "E", 0.0, "initial"),
-        ("basic", "integrator", "rel_tol", 0.0, "integrator"),
+        ("basic", "initial", "K", -1.0, "K"),
+        ("basic", "initial", "E", 0.0, "E"),
+        ("basic", "integrator", "rel_tol", 0.0, "rel_tol"),
     ])
     def test_range_checks_name_the_field(self, kind, block, key, value, field):
         doc = minimal_doc(kind=kind, control={"p": 0.47, "s_r0": 0.1},
