@@ -9,10 +9,10 @@ The step size is limited only by error control and by sample landing.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -62,6 +62,76 @@ _B = _A[6] + (0.0,)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
 
+
+def _terms(weights: Sequence[float], i: int) -> str:
+    """w1 * k1_i + w2 * k2_i + ... over the non-zero weights, in tableau
+    order."""
+    return " + ".join(f"{w!r} * k{j}_{i}"
+                      for j, w in enumerate(weights, 1) if w)
+
+
+def _step_source(n: int) -> str:
+    """Source of one DOPRI5 step on a state of n components.
+
+    step(field, y, k, h, rtol, atol), with k the first stage (the last
+    stage of the previous accepted step), unpacks the state y and each stage
+    into scalar locals and writes every stage input, the 5th-order solution
+    y_new and the error terms as scalar expressions read off _A, _B and _E.
+    It returns (y_new, k7, err), with err the max-norm of the error
+    estimate over abs_tol + rel_tol*|y_new|; None when a stage or y_new is
+    not finite; and the length of a field result that is not n long.
+    """
+    dim = range(n)
+
+    def unpack(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in dim)
+
+    def stage(s: int) -> str:
+        return ", ".join(f"y{i} + h * ({_terms(_A[s - 1], i)})" for i in dim)
+
+    values = [f"yn{i}" for i in dim] + [f"k{s}_{i}" for s in range(1, 8)
+                                        for i in dim]
+    errors = ", ".join(f"abs(h * ({_terms(_E, i)})) / (atol + rtol * "
+                       f"abs(yn{i}))" for i in dim)
+    lines = [
+        "def step(field, y, k, h, rtol, atol):",
+        f"    {unpack('y')}= y",
+        "    try:",
+        f"        {unpack('k1_')}= k",
+    ]
+    for s in range(2, 7):
+        lines += [f"        k = field(array([{stage(s)}]))",
+                  f"        {unpack(f'k{s}_')}= k"]
+    lines += [f"        yn{i} = y{i} + h * ({_terms(_B, i)})" for i in dim]
+    # FSAL: the last row of _A is _B, so the last stage is taken at y_new
+    lines += [
+        f"        y_new = [{', '.join(f'yn{i}' for i in dim)}]",
+        "        k = field(array(y_new))",
+        f"        {unpack('k7_')}= k",
+        "    except ValueError:",
+        f"        if len(k) != {n}:",
+        "            return len(k)",
+        "        raise",
+        # a sum of finite values is finite unless it overflows, and then
+        # each value is tested; before err, as max() passes over a NaN
+        f"    if not finite({' + '.join(values)}) and not all(map(finite, "
+        f"({', '.join(values)}))):",
+        "        return None",
+        f"    err = {f'max({errors})' if n > 1 else errors}",
+        "    return y_new, k, err",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _step_for(n: int) -> Callable:
+    """The step of _step_source(n), compiled once for each dimension n."""
+    namespace = {"array": np.array, "finite": math.isfinite}
+    exec(compile(_step_source(n), f"<dopri5 step, n={n}>", "exec"),
+         namespace)
+    return namespace["step"]
+
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -96,10 +166,11 @@ def integrate(
 ) -> RawTrajectory:
     """Integrate dy/dt = field(y) over [t0, t1], sampling every sample_step.
 
-    field takes the state as a 1-D float ndarray and returns a sequence of
-    as many numbers: a list, a tuple or an ndarray.  The stages are summed
-    in Python floats in tableau order, so a rerun gives the same bits on
-    any BLAS build.
+    field takes the state as a 1-D float ndarray and returns, on every call,
+    a sequence of exactly as many numbers: a list, a tuple or an ndarray.
+    The step is generated from the tableau once for each state dimension;
+    it sums the stages in Python floats in tableau order, so a rerun gives
+    the same bits on any BLAS build.
 
     The final time t1 is always included in the output grid.  Raises
     StepLimitExceeded when the step budget runs out and NonFiniteState when
@@ -107,7 +178,7 @@ def integrate(
     is raised again as a DomainError.  Each of them names the failed step's
     start time t, step size h and state y.  ValueError flags bad arguments:
     a non-finite t0, a bad y0, a field that returns the wrong number of
-    values, and (as a ValidationError that names it) a run length t1 - t0,
+    values (named with the step's t, h and y), and (as a ValidationError that names it) a run length t1 - t0,
     named horizon, or a sample_step that is not finite and positive.
     """
     settings = settings or DEFAULT_SETTINGS
@@ -126,20 +197,13 @@ def integrate(
     out = np.empty((len(grid), start.size))
     out[0] = start
 
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65), (b1, _, b3, b4, b5, b6) = _A[1:]
-    # b2 = e2 = 0: k2 enters the step only through the later stages
-    e1, _, e3, e4, e5, e6, e7 = _E
-    array, finite = np.array, math.isfinite
+    step = _step_for(start.size)
     rtol, atol = settings.rel_tol, settings.abs_tol
     max_steps = _MAX_STEPS
     h = _INITIAL_STEP
     t = t0
     y = start.tolist()
-    k7 = field(start)  # seeds FSAL
-    if len(k7) != len(y):
-        raise ValueError(f"field returned {len(k7)} values for a state of "
-                         f"{len(y)}")
+    k7 = field(start)  # seeds FSAL; its length is checked in the first step
     steps = 0
 
     for i, t_target in enumerate(grid.tolist()[1:], 1):
@@ -150,48 +214,26 @@ def integrate(
             steps += 1
             h = min(h, t_target - t)
 
-            k1 = k7  # FSAL: last stage of the accepted step
             try:
-                k2 = field(array([v + h * (a21 * p1)
-                                  for v, p1 in zip(y, k1)]))
-                k3 = field(array([v + h * (a31 * p1 + a32 * p2)
-                                  for v, p1, p2 in zip(y, k1, k2)]))
-                k4 = field(array([v + h * (a41 * p1 + a42 * p2 + a43 * p3)
-                                  for v, p1, p2, p3 in zip(y, k1, k2, k3)]))
-                k5 = field(array([
-                    v + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-                    for v, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
-                k6 = field(array([
-                    v + h * (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4
-                             + a65 * p5)
-                    for v, p1, p2, p3, p4, p5 in zip(y, k1, k2, k3, k4, k5)]))
-                # the 5th-order solution is also the FSAL stage's point
-                y_new = [v + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5
-                                  + b6 * p6)
-                         for v, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5,
-                                                          k6)]
-                k7 = field(array(y_new))
+                stepped = step(field, y, k7, h, rtol, atol)
             except DomainError as exc:
                 raise DomainError(f"{exc} ({_where(t, h, y)})") from exc
-            # before err: max() would pass over a NaN
-            if not all(map(finite, chain(y_new, k1, k2, k3, k4, k5, k6, k7))):
-                raise NonFiniteState(
-                    f"non-finite state in the step ({_where(t, h, y)})")
-
-            err = max([
-                abs(h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6
-                         + e7 * p7)) / (atol + rtol * abs(v))
-                for v, p1, p3, p4, p5, p6, p7 in zip(y_new, k1, k3, k4, k5,
-                                                     k6, k7)])
+            if stepped.__class__ is not tuple:
+                if stepped is None:
+                    raise NonFiniteState(
+                        f"non-finite state in the step ({_where(t, h, y)})")
+                raise ValueError(f"field returned {stepped} values for a "
+                                 f"state of {len(y)} ({_where(t, h, y)})")
+            y_new, k_last, err = stepped
 
             if err <= 1.0:
                 t = t + h
                 y = y_new
+                k7 = k_last  # FSAL: the next step's first stage
                 factor = _MAX_FACTOR if err == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * err ** -_ORDER_EXP)
                 h = h * max(_MIN_FACTOR, factor)
             else:
-                k7 = k1  # keep the FSAL seed for the retry
                 h = h * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
         t = t_target
         out[i] = y

@@ -91,8 +91,9 @@ def _number(obj, where: str) -> float:
     return value
 
 
-def _block(doc: dict, name: str, cls):
-    """Build cls, which checks its own ranges, from the object doc[name]."""
+def _block(doc: dict, name: str, cls, default=None):
+    """Build cls, which checks its own ranges, from the object doc[name]; a
+    key the object leaves out takes its value from default, when given."""
     raw = doc[name]
     if not isinstance(raw, dict):
         raise ParseError(f"{name} must be an object")
@@ -104,9 +105,9 @@ def _block(doc: dict, name: str, cls):
     for f in keys:
         if f.name in raw:
             values[f.name] = _number(raw[f.name], f"{name}.{f.name}")
-        elif f.default is MISSING:
+        elif f.default is MISSING and default is None:
             raise ParseError(f"missing required field {name}.{f.name}")
-    return cls(**values)
+    return cls(**values) if default is None else replace(default, **values)
 
 
 def load_scenario(text: str) -> Scenario:
@@ -137,16 +138,16 @@ def load_scenario(text: str) -> Scenario:
         if name in doc and name not in BLOCKS[kind]:
             raise ParseError(f"{name} block not allowed for kind={kind}")
 
-    blocks = {name: _block(doc, name, cls)
+    # a chaotic run takes the chaos tolerances for what its document leaves out
+    defaults = {"integrator": CHAOS_SETTINGS} if kind == "chaotic" else {}
+    blocks = {name: _block(doc, name, cls, defaults.get(name))
               for name, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items()
               if name in doc}
-    if kind == "chaotic":  # chaos tolerances unless the document sets them
-        blocks.setdefault("integrator", CHAOS_SETTINGS)
     timing = {k: _number(doc[k], k) for k in ("horizon", "sample_step")}
     for name, value in timing.items():
         require_positive(name, value)
 
-    scenario = Scenario(kind=kind, **timing, **blocks)
+    scenario = Scenario(kind=kind, **timing, **{**defaults, **blocks})
     if scenario.control is not None:
         control_mod.check_control(scenario.params, scenario.control.p,
                                   scenario.control.s_r0)

@@ -10,7 +10,7 @@ from capedu.errors import DomainError, NonFiniteState, StepLimitExceeded
 from capedu.integrator import (
     _A, _B, _E, _INITIAL_STEP, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY,
     CHAOS_SETTINGS, DEFAULT_SETTINGS, IntegratorSettings, _sample_grid,
-    integrate,
+    _step_for, integrate,
 )
 from capedu.model import (
     ModelParams, basic_rhs, control_rhs, modulated_rhs, ne9_rhs,
@@ -94,6 +94,37 @@ def test_non_finite_state_detected():
 def test_field_must_return_one_value_per_state_component():
     with pytest.raises(ValueError, match="field returned 1 values"):
         integrate(lambda y: [0.0], [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("call", [1, 2, 4, 7, 8, 20])
+def test_wrong_length_at_any_stage_names_the_step(call, length):
+    # call 1 seeds FSAL, calls 2-7 are the first step's stages and 8 is the
+    # second step's first new stage
+    calls = 0
+
+    def field(y):
+        nonlocal calls
+        calls += 1
+        return [0.5] * (length if calls == call else 2)
+
+    with pytest.raises(ValueError) as info:
+        integrate(field, [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
+    message = str(info.value)
+    assert message.startswith(f"field returned {length} values for a state "
+                              f"of 2 (from t=")
+    assert "with h=" in message
+    assert calls == call
+
+
+def test_value_error_from_the_field_passes_through():
+    def field(y):
+        if y[0] > 1.5:
+            raise ValueError("field refuses")
+        return [1.0, 0.0]
+
+    with pytest.raises(ValueError, match="^field refuses$"):
+        integrate(field, [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
 
 
 def test_non_finite_initial_state():
@@ -310,6 +341,46 @@ def stable_basic_runs(draw):
 def test_same_bits_as_reference_loop_on_random_basic_runs(run):
     params, y0, t1, sample_step = run
     assert_same_bits(basic_rhs(params), y0, t1, DEFAULT_SETTINGS, sample_step)
+
+
+@st.composite
+def dissipative_fields(draw, n):
+    """y_i' = b_i + sum_j a_ij y_j - q_i y_i |y_i|, with a diagonally
+    dominant negative linear part, so every orbit stays bounded; returned
+    as a list, a tuple or an ndarray."""
+    coef = st.floats(-0.5, 0.5)
+    a = [[draw(coef) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        a[i][i] = -draw(st.floats(0.1, 2.0)) - sum(map(abs, a[i]))
+    b = [draw(coef) for _ in range(n)]
+    q = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+         for _ in range(n)]
+    wrap = draw(st.sampled_from([list, tuple, np.array]))
+
+    def field(y):
+        return wrap([b[i] + sum(a[i][j] * y[j] for j in range(n))
+                     - q[i] * y[i] * abs(y[i]) for i in range(n)])
+
+    y0 = [draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+    return field, y0, draw(st.floats(0.5, 5.0)), draw(st.floats(0.05, 1.0))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generated_step_same_bits_in_every_dimension(n, data):
+    field, y0, t1, sample_step = data.draw(dissipative_fields(n))
+    args = (y0, 0.0, t1, DEFAULT_SETTINGS, sample_step)
+    calls, raw = rhs_calls(integrate, field, *args)
+    ref_calls, (times, states) = rhs_calls(reference_integrate, field, *args)
+    assert calls == ref_calls
+    assert np.array_equal(raw.times, times)
+    assert np.array_equal(raw.states, states)
+
+
+def test_step_built_once_per_dimension():
+    assert _step_for(4) is _step_for(4)
+    assert _step_for(4) is not _step_for(6)
 
 
 def rhs_calls(loop, field, *args):

@@ -294,6 +294,22 @@ class TestLoadScenario:
         assert read_scenario("basic_baseline.json").integrator == \
             IntegratorSettings()
 
+    @pytest.mark.parametrize("kind,block,expected", [
+        ("chaotic", {}, CHAOS_SETTINGS),
+        ("chaotic", {"rel_tol": 1e-9}, IntegratorSettings(1e-9, 1e-12)),
+        ("chaotic", {"abs_tol": 1e-11}, IntegratorSettings(1e-10, 1e-11)),
+        ("basic", {}, IntegratorSettings()),
+        ("basic", {"rel_tol": 1e-9}, IntegratorSettings(1e-9, 1e-10)),
+    ])
+    def test_partial_integrator_block_defaults_by_kind(self, kind, block,
+                                                       expected):
+        doc = minimal_doc(kind=kind, integrator=block)
+        if kind == "chaotic":
+            doc["chaos"] = {"c": 0.5}
+        s = load_scenario(json.dumps(doc))
+        assert s.integrator == expected
+        assert load_scenario(dump_scenario(s)) == s
+
     @pytest.mark.parametrize("kind,block,key,value,field", [
         ("controlled", "control", "p", 0.7, "p"),      # above 1 - s_k
         ("controlled", "control", "p", 0.0, "p"),
