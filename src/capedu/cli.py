@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("sweep", help="rerun a scenario over parameter values")
     scenario_flag(p)
     p.add_argument("--param", required=True,
-                   help=f"parameter to vary ({', '.join(scenario_io.SWEEPABLE)})")
+                   help="field of a block of the scenario to vary "
+                        "(delta_r, s_r, p, c, K, rel_tol, ...)")
     p.add_argument("--values", required=True,
                    type=_split(",", float, "comma-separated numbers", None),
                    help="comma-separated parameter values")

@@ -177,9 +177,10 @@ def integrate(
     the solution leaves the finite domain; a DomainError raised by the field
     is raised again as a DomainError.  Each of them names the failed step's
     start time t, step size h and state y.  ValueError flags bad arguments:
-    a non-finite t0, a bad y0, a field that returns the wrong number of
-    values (named with the step's t, h and y), and (as a ValidationError that names it) a run length t1 - t0,
-    named horizon, or a sample_step that is not finite and positive.
+    a non-finite t0, a bad y0, a field whose result is not a 1-D sequence
+    of as many numbers as the state (named with the step's t, h and y), and
+    (as a ValidationError that names it) a run length t1 - t0, named
+    horizon, or a sample_step that is not finite and positive.
     """
     settings = settings or DEFAULT_SETTINGS
     if not math.isfinite(t0):
@@ -203,7 +204,10 @@ def integrate(
     h = _INITIAL_STEP
     t = t0
     y = start.tolist()
-    k7 = field(start)  # seeds FSAL; its length is checked in the first step
+    k7 = field(start)  # seeds FSAL; the step checks the length of each result
+    if np.ndim(k7) != 1:  # the step would fail to unpack it as n numbers
+        raise ValueError(f"field returned a result of shape {np.shape(k7)} "
+                         f"for a state of {start.size} ({_where(t, h, y)})")
     steps = 0
 
     for i, t_target in enumerate(grid.tolist()[1:], 1):

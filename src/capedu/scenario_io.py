@@ -32,9 +32,6 @@ __all__ = [
     "render_svg", "PhasePortrait", "phase_portrait", "write_phase_csv",
 ]
 
-SWEEPABLE = ("s_k", "s_r", "delta_k", "delta_r", "alpha", "beta", "p", "c")
-
-
 @dataclass(frozen=True)
 class ControlSpec:
     p: float
@@ -56,11 +53,19 @@ BLOCKS = {"basic": {}, "controlled": {"control": ControlSpec},
           "chaotic": {"chaos": ChaosSpec}}
 _SHARED_BLOCKS = {"params": ModelParams, "initial": EconState,
                   "integrator": IntegratorSettings}
-_KIND_BLOCKS = tuple(name for blocks in BLOCKS.values() for name in blocks)
+_KIND_BLOCKS = {name: cls for blocks in BLOCKS.values()
+                for name, cls in blocks.items()}
+# the block that has each field; no two block classes share a field name
+_OWNER = {f.name: block for block, cls in
+          {**_SHARED_BLOCKS, **_KIND_BLOCKS}.items() for f in fields(cls)}
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run, checked alike when load_scenario or code builds it: kind is
+    one of BLOCKS and has exactly its own blocks, horizon and sample_step
+    are finite and positive, and a control block passes check_control."""
+
     kind: str
     params: ModelParams
     initial: EconState
@@ -69,6 +74,23 @@ class Scenario:
     control: ControlSpec | None = None
     chaos: ChaosSpec | None = None
     integrator: IntegratorSettings = IntegratorSettings()
+
+    def __post_init__(self):
+        kind = self.kind
+        if not isinstance(kind, str) or kind not in BLOCKS:
+            raise ValidationError(
+                "kind", f"must be one of {tuple(BLOCKS)}, got {kind!r}")
+        for name in BLOCKS[kind]:
+            if getattr(self, name) is None:
+                raise ParseError(f"{kind} scenario requires a {name} block")
+        for name in _KIND_BLOCKS:
+            if getattr(self, name) is not None and name not in BLOCKS[kind]:
+                raise ParseError(f"{name} block not allowed for kind={kind}")
+        require_positive("horizon", self.horizon)
+        require_positive("sample_step", self.sample_step)
+        if self.control is not None:
+            control_mod.check_control(self.params, self.control.p,
+                                      self.control.s_r0)
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -111,7 +133,7 @@ def _block(doc: dict, name: str, cls, default=None):
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document (JSON)."""
+    """Parse a scenario document (JSON); Scenario checks its rules."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,30 +150,13 @@ def load_scenario(text: str) -> Scenario:
             raise ParseError(f"missing required field {f.name}")
 
     kind = doc["kind"]
-    if not isinstance(kind, str) or kind not in BLOCKS:
-        raise ValidationError(
-            "kind", f"must be one of {tuple(BLOCKS)}, got {kind!r}")
-    for name in BLOCKS[kind]:
-        if name not in doc:
-            raise ParseError(f"{kind} scenario requires a {name} block")
-    for name in _KIND_BLOCKS:
-        if name in doc and name not in BLOCKS[kind]:
-            raise ParseError(f"{name} block not allowed for kind={kind}")
-
     # a chaotic run takes the chaos tolerances for what its document leaves out
     defaults = {"integrator": CHAOS_SETTINGS} if kind == "chaotic" else {}
     blocks = {name: _block(doc, name, cls, defaults.get(name))
-              for name, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items()
+              for name, cls in {**_SHARED_BLOCKS, **_KIND_BLOCKS}.items()
               if name in doc}
     timing = {k: _number(doc[k], k) for k in ("horizon", "sample_step")}
-    for name, value in timing.items():
-        require_positive(name, value)
-
-    scenario = Scenario(kind=kind, **timing, **{**defaults, **blocks})
-    if scenario.control is not None:
-        control_mod.check_control(scenario.params, scenario.control.p,
-                                  scenario.control.s_r0)
-    return scenario
+    return Scenario(kind=kind, **timing, **{**defaults, **blocks})
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -183,28 +188,20 @@ def run_scenario(scenario: Scenario) -> Trajectory:
         s.horizon, s.integrator, s.sample_step)
 
 
-def _owner(kind: str, name: str) -> str | None:
-    """The block of a scenario of this kind that has the field name."""
-    for block, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items():
-        if name in {f.name for f in fields(cls)}:
-            return block
-    return None
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     base: Scenario
-    parameter: str              # one of SWEEPABLE
+    parameter: str              # a field of a block of base
     values: tuple[float, ...]
     report_time: float
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
-            raise ValidationError("parameter",
-                                  f"must be one of {SWEEPABLE}")
-        if _owner(self.base.kind, self.parameter) is None:
-            raise ValidationError("parameter", f"{self.parameter} does not "
-                                  f"apply to {self.base.kind} scenarios")
+        kind = self.base.kind
+        blocks = {**_SHARED_BLOCKS, **BLOCKS[kind]}
+        if _OWNER.get(self.parameter) not in blocks:
+            raise ValidationError(
+                "parameter", f"{self.parameter} is not a field of the blocks "
+                f"of a {kind} scenario ({', '.join(blocks)})")
         if not self.values:
             raise ValidationError("values", "must be non-empty")
         # checked before any run, by the rule Trajectory.at applies
@@ -223,19 +220,15 @@ class SweepRow:
     error: str | None = None
 
 
-def _apply_parameter(base: Scenario, name: str, value: float) -> Scenario:
-    block = _owner(base.kind, name)
-    return replace(base, **{block: replace(getattr(base, block),
-                                           **{name: value})})
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One independent run per value, in sequence; per-row failures do not
-    stop the sweep."""
+    stop the sweep.  A value its block or Scenario rejects fails its row."""
+    base, name = spec.base, spec.parameter
     rows = []
     for value in spec.values:
         try:
-            scenario = _apply_parameter(spec.base, spec.parameter, value)
+            block = replace(getattr(base, _OWNER[name]), **{name: value})
+            scenario = replace(base, **{_OWNER[name]: block})
             row = run_scenario(scenario).at(spec.report_time)
             rows.append(SweepRow(value=value, Y=row["Y"], C=row["C"]))
         except CapEduError as exc:

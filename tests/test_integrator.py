@@ -117,6 +117,29 @@ def test_wrong_length_at_any_stage_names_the_step(call, length):
     assert calls == call
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("field", [
+    lambda y: -y.reshape(-1, 1),
+    lambda y: 1.0,
+    lambda y: np.array(-y[0]),
+], ids=["column", "float", "0-d array"])
+def test_badly_shaped_result_names_its_shape_and_the_start(field, n):
+    calls = 0
+
+    def counted(y):
+        nonlocal calls
+        calls += 1
+        return field(y)
+
+    with pytest.raises(ValueError) as info:
+        integrate(counted, [1.0] * n, 0.0, 1.0, sample_step=0.5)
+    shape = np.shape(field(np.ones(n)))
+    assert str(info.value).startswith(
+        f"field returned a result of shape {shape} for a state of {n} "
+        f"(from t=0 with h=")
+    assert calls == 1  # the FSAL seed; no extra call checks it
+
+
 def test_value_error_from_the_field_passes_through():
     def field(y):
         if y[0] > 1.5:

@@ -1,6 +1,7 @@
 import json
+import math
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capedu.errors import EmptySeries, ParseError, ValidationError
+from capedu.errors import CapEduError, EmptySeries, ParseError, ValidationError
 from capedu.integrator import CHAOS_SETTINGS, IntegratorSettings
 from capedu.model import ModelParams
 from capedu.scenario_io import (
+    _KIND_BLOCKS,
+    _SHARED_BLOCKS,
+    BLOCKS,
+    ChaosSpec,
+    ControlSpec,
+    Scenario,
     SweepSpec,
     dump_scenario,
     load_scenario,
@@ -207,6 +214,25 @@ DUMPED = {
 """,
 }
 
+# short runs of each kind, to sweep every field of their blocks
+SWEEP_BASES = {
+    "basic": minimal_doc(horizon=2, sample_step=0.5),
+    "controlled": minimal_doc(kind="controlled", horizon=2, sample_step=0.5,
+                              control={"p": 0.47, "s_r0": 0.1}),
+    "chaotic": minimal_doc(kind="chaotic", horizon=2, sample_step=0.5,
+                           chaos={"c": 0.5}),
+}
+
+# a value of each block field that its class, or Scenario for control,
+# rejects, and the field the error names: s_r_floor above s_r names s_r
+REJECTED = {
+    "s_k": (1.5, "s_k"), "s_r": (0.0, "s_r"), "delta_k": (0.0, "delta_k"),
+    "delta_r": (-0.1, "delta_r"), "alpha": (1.0, "alpha"),
+    "beta": (0.0, "beta"), "s_r_floor": (0.5, "s_r"), "K": (0.0, "K"),
+    "E": (-1.0, "E"), "rel_tol": (0.0, "rel_tol"),
+    "abs_tol": (math.nan, "abs_tol"), "p": (0.6, "p"), "s_r0": (0.0, "s_r0"),
+}
+
 
 class TestLoadScenario:
     def test_baseline_document(self):
@@ -357,6 +383,41 @@ class TestLoadScenario:
             load_scenario(json.dumps(doc))
 
 
+def fault(build):
+    """The class of the error build() raises, and the field it names (the
+    message for an error that names no field)."""
+    with pytest.raises(CapEduError) as info:
+        build()
+    return type(info.value), getattr(info.value, "field", str(info.value))
+
+
+class TestCodeBuiltScenario:
+    @pytest.mark.parametrize("doc,build", [
+        (minimal_doc(kind="controlled"),
+         lambda s: Scenario("controlled", s.params, s.initial, 200.0, 0.5)),
+        (minimal_doc(kind="bogus"), lambda s: replace(s, kind="bogus")),
+        (minimal_doc(chaos={"c": 0.5}),
+         lambda s: replace(s, chaos=ChaosSpec(c=0.5))),
+        (minimal_doc(horizon=0), lambda s: replace(s, horizon=0)),
+        (minimal_doc(sample_step=-1), lambda s: replace(s, sample_step=-1)),
+        (minimal_doc(kind="controlled", control={"p": 0.6, "s_r0": 0.1}),
+         lambda s: replace(s, kind="controlled",
+                           control=ControlSpec(p=0.6, s_r0=0.1))),
+    ], ids=["missing block", "unknown kind", "block of another kind",
+            "horizon", "sample_step", "p at 1 - s_k"])
+    def test_fails_as_the_same_fault_in_a_document(self, doc, build):
+        base = load_scenario(json.dumps(minimal_doc()))
+        assert fault(lambda: build(base)) == \
+            fault(lambda: load_scenario(json.dumps(doc)))
+
+    def test_chaotic_without_integrator_takes_the_class_defaults(self):
+        base = load_scenario(json.dumps(minimal_doc()))
+        s = Scenario("chaotic", base.params, base.initial, 2.0, 0.5,
+                     chaos=ChaosSpec(c=0.5))
+        assert s.integrator == IntegratorSettings()
+        assert load_scenario(dump_scenario(s)) == s
+
+
 class TestRunScenario:
     def test_baseline_output_level(self):
         traj = run_scenario(read_scenario("basic_baseline.json"))
@@ -472,6 +533,48 @@ class TestSweep:
         base = replace(base, horizon=10.2)
         SweepSpec(base=base, parameter="s_r", values=(0.1,), report_time=10.2)
 
+
+    def test_block_classes_share_no_field_name(self):
+        # so that the block that owns a swept field is never in doubt
+        names = [f.name for cls in {**_SHARED_BLOCKS, **_KIND_BLOCKS}.values()
+                 for f in fields(cls)]
+        assert len(names) == len(set(names))
+
+    @pytest.mark.parametrize("kind,block,name", [
+        (kind, block, f.name) for kind in BLOCKS
+        for block, cls in {**_SHARED_BLOCKS, **BLOCKS[kind]}.items()
+        for f in fields(cls)])
+    def test_every_block_field_is_sweepable(self, kind, block, name):
+        base = load_scenario(json.dumps(SWEEP_BASES[kind]))
+        value = getattr(getattr(base, block), name)
+        rejected = REJECTED.get(name)
+        values = (value,) if rejected is None else (value, rejected[0])
+        rows = run_sweep(SweepSpec(base=base, parameter=name, values=values,
+                                   report_time=2.0))
+        ref = run_scenario(base).at(2.0)
+        assert (rows[0].Y, rows[0].C, rows[0].error) == \
+            (ref["Y"], ref["C"], None)
+        if rejected is None:
+            assert block == "chaos"  # ChaosSpec is the one block without rules
+        else:
+            assert rows[1].Y is None
+            assert rows[1].error.startswith(f"{rejected[1]}: ")
+
+    @pytest.mark.parametrize("kind,name", [
+        ("basic", "x0"), ("basic", "p"), ("controlled", "c"),
+        ("chaotic", "s_r0"), ("chaotic", "horizon"), ("basic", "kind"),
+    ])
+    def test_field_outside_the_kind_blocks_is_refused(self, kind, name):
+        base = load_scenario(json.dumps(SWEEP_BASES[kind]))
+        with pytest.raises(ValidationError) as info:
+            SweepSpec(base=base, parameter=name, values=(1.0,),
+                      report_time=2.0)
+        assert info.value.field == "parameter"
+        message = str(info.value)
+        assert name in message and kind in message
+        for block in {**_SHARED_BLOCKS, **_KIND_BLOCKS}:
+            assert (block in message) == (block in _SHARED_BLOCKS
+                                          or block in BLOCKS[kind])
 
 class TestCsv:
     def test_basic_header_and_rows(self):
