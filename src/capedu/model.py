@@ -56,6 +56,8 @@ class ModelParams:
             raise ValidationError("s_r", "must be positive")
         if not self.s_r <= 1:
             raise ValidationError("s_r", "must be at most 1")
+        if not self.s_r_floor >= 0:  # NaN fails too
+            raise ValidationError("s_r_floor", "must be non-negative")
         if self.s_r < self.s_r_floor:
             raise ValidationError("s_r", "below s_r_floor")
         if self.s_k + self.s_r > 1:

@@ -7,6 +7,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import html
 import json
 import math
@@ -45,6 +46,11 @@ class ChaosSpec:
     y0: float = model.NE9_START_DEFAULT[1]
     z0: float = model.NE9_START_DEFAULT[2]
     b: float = model.NE9_B_DEFAULT
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValidationError(name, f"must be finite, got {value}")
 
 
 # the blocks each kind of scenario has beside the shared ones, and the class
@@ -236,18 +242,17 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def _fmt(value: float) -> str:
-    # shortest decimal that round-trips to the same double
-    return repr(float(value))
+def _csv(header, columns) -> str:
+    # repr of each value as a Python float (3 as 3.0), the shortest decimal
+    # that round-trips to it
+    rows = zip(*[map(repr, np.asarray(col, float).tolist()) for col in columns])
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def write_trajectory_csv(traj: Trajectory) -> str:
     """Column t, then traj.columns; full double precision; '\\n' separators."""
-    cols = traj.columns
-    lines = ["t," + ",".join(cols)]
-    for i, t in enumerate(traj.times):
-        lines.append(",".join([_fmt(t)] + [_fmt(traj.data[c][i]) for c in cols]))
-    return "\n".join(lines) + "\n"
+    return _csv(("t",) + traj.columns,
+                [traj.times, *(traj.data[c] for c in traj.columns)])
 
 
 def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -255,40 +260,41 @@ def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
 
     A data row with more or fewer cells than the header raises
     ValidationError naming the row, and a cell that is not a number raises
-    it naming the column and the row.
+    it naming the column and the row.  One np.loadtxt pass parses a table;
+    the per-row loop, with float() per cell, runs only on one it refuses.
     """
     lines = [ln for ln in text.splitlines() if ln]
     if len(lines) < 2:
         raise EmptySeries("CSV has no data rows")
-    header = tuple(lines[0].split(","))
-    try:
-        table = np.array([[float(v) if v else np.nan for v in ln.split(",")]
-                          for ln in lines[1:]])
-        if table.shape[1] == len(header):
+    header, rows = tuple(lines[0].split(",")), lines[1:]
+    with contextlib.suppress(ValueError):
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        # loadtxt strips \x1f as a space; float() refuses a cell with one
+        if table.shape[1] == len(header) and "\x1f" not in text:
             return header, table
-    except ValueError:  # a ragged row or a cell that is not a number
-        pass
-    for i, line in enumerate(lines[1:], 1):  # find the first bad row
+    table = np.empty((len(rows), len(header)))
+    for i, line in enumerate(rows, 1):
         cells = line.split(",")
         if len(cells) != len(header):
             raise ValidationError("csv", f"data row {i} has {len(cells)} "
                                   f"cells, the header has {len(header)}")
-        for name, cell in zip(header, cells):
+        for j, (name, cell) in enumerate(zip(header, cells)):
             try:
-                float(cell or "nan")
+                table[i - 1, j] = float(cell or "nan")
             except ValueError:
                 raise ValidationError(name, f"non-numeric value {cell!r} in "
                                       f"data row {i}") from None
+    return header, table
 
 
 def write_sweep_csv(rows: list[SweepRow]) -> str:
     lines = ["value,Y,C,error"]
     for r in rows:
         if r.error is None:
-            lines.append(f"{_fmt(r.value)},{_fmt(r.Y)},{_fmt(r.C)},")
+            lines.append(f"{float(r.value)!r},{float(r.Y)!r},{float(r.C)!r},")
         else:
             msg = r.error.replace("\n", " ").replace(",", ";")
-            lines.append(f"{_fmt(r.value)},,,{msg}")
+            lines.append(f"{float(r.value)!r},,,{msg}")
     return "\n".join(lines) + "\n"
 
 
@@ -359,7 +365,8 @@ def render_svg(series, title: str = "") -> str:
     # polylines
     for i, (label, t, v) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(t, v))
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx(t).tolist(),
+                               sy(v).tolist()))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{pts}"/>')
     # legend
@@ -422,9 +429,9 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
 def write_phase_csv(portrait: PhasePortrait) -> str:
     """Field samples and orbit polylines in one flat table."""
     lines = ["record,index,t,K,E,dK,dE"]
-    for i, (K, E, dK, dE) in enumerate(portrait.field_samples):
-        lines.append(f"field,{i},,{_fmt(K)},{_fmt(E)},{_fmt(dK)},{_fmt(dE)}")
+    for i, row in enumerate(portrait.field_samples.tolist()):
+        lines.append(f"field,{i},," + ",".join(map(repr, row)))
     for j, traj in enumerate(portrait.trajectories):
-        for t, (K, E) in zip(traj.times, traj.states):
-            lines.append(f"orbit,{j},{_fmt(t)},{_fmt(K)},{_fmt(E)},,")
+        lines += [f"orbit,{j},{t!r},{K!r},{E!r},," for t, (K, E)
+                  in zip(traj.times.tolist(), traj.states.tolist())]
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,8 @@ class TestModelParams:
         ("alpha", dict(alpha=1.0)),
         ("beta", dict(beta=0.0)),
         ("s_r", dict(s_r=0.05, s_r_floor=0.1)),
+        ("s_r_floor", dict(s_r_floor=-5.0)),
+        ("s_r_floor", dict(s_r_floor=math.nan)),
     ])
     def test_invalid(self, field, kwargs):
         base = dict(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,

@@ -1,0 +1,74 @@
+"""The output path's bytes, pinned by sha256.
+
+Each digest was taken from the writer before it worked on whole columns;
+a faster writer or renderer must keep every byte.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from capedu.scenario_io import (SweepSpec, load_scenario, phase_portrait,
+                                render_svg, run_scenario, run_sweep,
+                                write_phase_csv, write_sweep_csv,
+                                write_trajectory_csv)
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def read_scenario(name):
+    return load_scenario((SCENARIO_DIR / name).read_text())
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def seeded_series():
+    """Four random walks of a few hundred points on their own time grids."""
+    rng = np.random.default_rng(2024)
+    series = []
+    for label, n, scale in (("K", 300, 1.0), ("E & x", 250, 0.01),
+                            ("Y", 400, 100.0), ("C<0", 350, 3.0)):
+        t = np.cumsum(rng.uniform(0.0, 0.5, n))
+        v = np.cumsum(rng.normal(0.0, scale, n))
+        v[n // 2] = -0.0
+        series.append((label, t, v))
+    return series
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("basic_baseline.json",
+     "639f2c93c51432231d1cb00f4642d7d6c3a39afb4f620d54b099d299e4d0c84e"),
+    ("chaotic_plus.json",
+     "7da67ae663ec31691f4eb4b521aad916c52ece1f63c54cbf5229613f7baaedc4"),
+])
+def test_trajectory_csv_bytes(name, digest):
+    assert sha256(write_trajectory_csv(run_scenario(read_scenario(name)))) \
+        == digest
+
+
+def test_svg_bytes():
+    svg = render_svg(seeded_series(), title="K & E <seeded>")
+    assert svg.count("<polyline") == 4
+    assert sha256(svg) == \
+        "349c7ff62cdc7350c73e177da08d9142bc90f8940c1be0ff3a5146507419c3ed"
+
+
+def test_phase_csv_bytes(baseline_params):
+    portrait = phase_portrait(baseline_params, (0.5, 8.0), (0.1, 2.0),
+                              grid=(3, 3), horizon=300.0)
+    assert sha256(write_phase_csv(portrait)) == \
+        "1428d0451282846d3ea0c2e24a7e875dd1d9685d422caa118ef5502968206315"
+
+
+def test_sweep_csv_bytes_with_an_error_row():
+    base = replace(read_scenario("basic_baseline.json"), sample_step=1.0)
+    rows = run_sweep(SweepSpec(base=base, parameter="delta_r",
+                               values=(0.25, -0.1, 0.17), report_time=200.0))
+    assert [r.error is None for r in rows] == [True, False, True]
+    assert sha256(write_sweep_csv(rows)) == \
+        "133c4218063dcaaded9be0d8e377c49f2cb6ce51ba0992248c7a4602476e5656"

@@ -3,6 +3,7 @@ import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -343,6 +344,7 @@ class TestLoadScenario:
         ("basic", "initial", "K", -1.0, "K"),
         ("basic", "initial", "E", 0.0, "E"),
         ("basic", "integrator", "rel_tol", 0.0, "rel_tol"),
+        ("basic", "params", "s_r_floor", -5, "s_r_floor"),
     ])
     def test_range_checks_name_the_field(self, kind, block, key, value, field):
         doc = minimal_doc(kind=kind, control={"p": 0.47, "s_r0": 0.1},
@@ -409,6 +411,15 @@ class TestCodeBuiltScenario:
         base = load_scenario(json.dumps(minimal_doc()))
         assert fault(lambda: build(base)) == \
             fault(lambda: load_scenario(json.dumps(doc)))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_chaos_spec_refuses_a_non_finite_value(self, value):
+        with pytest.raises(ValidationError) as info:
+            ChaosSpec(c=value)
+        assert info.value.field == "c"
+        with pytest.raises(ValidationError) as info:
+            ChaosSpec(c=0.5, y0=value)
+        assert info.value.field == "y0"
 
     def test_chaotic_without_integrator_takes_the_class_defaults(self):
         base = load_scenario(json.dumps(minimal_doc()))
@@ -555,10 +566,32 @@ class TestSweep:
         assert (rows[0].Y, rows[0].C, rows[0].error) == \
             (ref["Y"], ref["C"], None)
         if rejected is None:
-            assert block == "chaos"  # ChaosSpec is the one block without rules
+            # a chaos field's one rule, finiteness, has its own test below
+            assert block == "chaos"
         else:
             assert rows[1].Y is None
             assert rows[1].error.startswith(f"{rejected[1]}: ")
+
+    @pytest.mark.parametrize("name,value", [
+        ("c", math.nan), ("c", math.inf), ("b", math.nan),
+        ("x0", math.inf), ("z0", -math.inf)])
+    def test_non_finite_chaos_value_fails_its_row_naming_the_field(
+            self, name, value):
+        base = replace(read_scenario("chaotic_plus.json"), horizon=2.0)
+        rows = run_sweep(SweepSpec(
+            base=base, parameter=name,
+            values=(value, getattr(base.chaos, name)), report_time=1.0))
+        assert rows[0].Y is None
+        assert rows[0].error == f"{name}: must be finite, got {value}"
+        assert rows[1].error is None
+
+    def test_negative_or_nan_s_r_floor_fails_its_row(self):
+        base = replace(read_scenario("controlled_p047.json"), horizon=2.0)
+        rows = run_sweep(SweepSpec(base=base, parameter="s_r_floor",
+                                   values=(-5.0, math.nan, 0.0),
+                                   report_time=1.0))
+        assert [r.error for r in rows] == [
+            "s_r_floor: must be non-negative"] * 2 + [None]
 
     @pytest.mark.parametrize("kind,name", [
         ("basic", "x0"), ("basic", "p"), ("controlled", "c"),
@@ -634,6 +667,77 @@ class TestCsv:
         assert lines[0] == "value,Y,C,error"
         assert lines[1].startswith("-0.1,,,")  # error row keeps columns empty
         assert lines[2].endswith(",")          # empty error column on success
+
+
+def per_row(text):
+    """read_trajectory_csv with np.loadtxt refusing every table, so that
+    the per-row loop reads it."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        return read_trajectory_csv(text)
+
+
+# the texts a writer might give a double: shortest, 17 digits, exponent
+# form, padded with spaces and tabs, upper case
+CELL_FORMS = (repr, "{:.17g}".format, "{:.6e}".format, " {!r}\t".format,
+              lambda x: repr(x).upper())
+
+
+class TestCsvReader:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_and_per_row_loop_read_the_same_bits(self, data):
+        n, k = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+        cells = st.tuples(st.floats(), st.sampled_from(CELL_FORMS)).map(
+            lambda cell: cell[1](cell[0]))
+        rows = data.draw(st.lists(st.lists(cells, min_size=k, max_size=k),
+                                  min_size=n, max_size=n))
+        header = ",".join(f"c{j}" for j in range(k))
+        text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+        fast, slow = read_trajectory_csv(text), per_row(text)
+        assert fast[0] == slow[0] == tuple(header.split(","))
+        assert fast[1].shape == slow[1].shape == (n, k)
+        assert fast[1].dtype == slow[1].dtype == np.float64
+        assert np.array_equal(fast[1].view(np.uint64),
+                              slow[1].view(np.uint64))
+        assert np.array_equal(
+            slow[1].view(np.uint64),
+            np.array([[float(c) for c in row] for row in rows]).view(
+                np.uint64).reshape(n, k))
+
+    @pytest.mark.parametrize("read", [read_trajectory_csv, per_row])
+    def test_empty_cell_reads_as_nan(self, read):
+        header, table = read("t,a,b\n0,,2\n1,3,\n")
+        assert header == ("t", "a", "b")
+        assert np.isnan(table[0, 1]) and np.isnan(table[1, 2])
+        assert table[1, 1] == 3.0
+
+    def test_underscores_and_non_ascii_digits_read_as_float_reads_them(self):
+        # loadtxt refuses underscores and non-ASCII digits; float() reads them
+        header, table = read_trajectory_csv("t,a\n1_0,\u0663\n2,-0.5\n")
+        assert table.tolist() == [[10.0, 3.0], [2.0, -0.5]]
+
+    @pytest.mark.parametrize("rows,field,message", [
+        ("0,1\n1,  \n", "a", "non-numeric value '  ' in data row 2"),
+        ("0,#\n", "a", "non-numeric value '#' in data row 1"),
+        ("0,1\n1,2,3\n", "csv", "data row 2 has 3 cells, the header has 2"),
+        ("0,1\n1\n", "csv", "data row 2 has 1 cells, the header has 2"),
+        # loadtxt strips \x1f as whitespace, float() refuses it
+        ("0,\x1f1\n", "a", "non-numeric value '\\x1f1' in data row 1"),
+        ("\x1f0,1\n", "t", "non-numeric value '\\x1f0' in data row 1"),
+    ], ids=["whitespace", "hash", "long-row", "short-row", "x1f-cell",
+            "x1f-time"])
+    def test_bad_table_raises_the_per_row_error(self, rows, field, message):
+        for read in (read_trajectory_csv, per_row):
+            with pytest.raises(ValidationError) as info:
+                read("t,a\n" + rows)
+            assert info.value.field == field
+            assert str(info.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("text", ["t\n0\n1.5\n", "t\n1_0\n2\n"],
+                             ids=["one-pass", "per-row"])
+    def test_one_column_table_keeps_two_dimensions(self, text):
+        header, table = read_trajectory_csv(text)
+        assert header == ("t",) and table.shape == (2, 1)
 
 
 class TestRenderSvg:
