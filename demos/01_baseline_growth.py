@@ -7,7 +7,7 @@ Run from the repository root:  python demos/01_baseline_growth.py
 import numpy as np
 
 from capedu import EconState, ModelParams, equilibrium_report, integrate
-from capedu.model import basic_rhs
+from capedu.model import basic_rhs, output
 
 params = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                      alpha=0.2, beta=0.35)
@@ -34,7 +34,7 @@ print(f"  error vs closed form = "
 
 # The start (4, 1) has Y(0) = 1.6245 above the equilibrium level, so output
 # declines toward 1.4271 while the capital/expertise mix rebalances.
-Y = raw.states[:, 1] ** params.alpha * raw.states[:, 0] ** params.beta
+Y = output(params, raw.states[:, 0], raw.states[:, 1])
 for t in (0, 50, 100, 200, 500):
     i = int(np.argmin(np.abs(raw.times - t)))
     print(f"  Y({t:3d}) = {Y[i]:.4f}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StructurallyUnstable, ValidationError
-from .model import ModelParams
+from .model import ModelParams, output
 
 __all__ = [
     "Stability", "EquilibriumReport", "check_target",
@@ -119,7 +119,7 @@ def classify(eigenvalues) -> Stability:
 def equilibrium_report(params: ModelParams) -> EquilibriumReport:
     """Full 2-D report: equilibrium, output level, Jacobian, eigenvalues, class."""
     K0, E0 = equilibrium(params)
-    Y0 = E0 ** params.alpha * K0 ** params.beta
+    Y0 = output(params, K0, E0)
     eigs = eigen_basic(params)
     return EquilibriumReport(
         K0=K0, E0=E0, Y0=Y0,

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (DomainError, NonFiniteState, StepLimitExceeded,
                      require_positive)
 
-__all__ = ["IntegratorSettings", "RawTrajectory", "integrate"]
+__all__ = ["IntegratorSettings", "RawTrajectory", "integrate",
+           "step_source"]
 
 
 @dataclass(frozen=True)
@@ -70,66 +71,89 @@ def _terms(weights: Sequence[float], i: int) -> str:
                       for j, w in enumerate(weights, 1) if w)
 
 
-def _step_source(n: int) -> str:
+def _step_source(n: int, system=None) -> str:
     """Source of one DOPRI5 step on a state of n components.
 
-    step(field, y, k, h, rtol, atol), with k the first stage (the last
-    stage of the previous accepted step), unpacks the state y and each stage
-    into scalar locals and writes every stage input, the 5th-order solution
-    y_new and the error terms as scalar expressions read off _A, _B and _E.
-    It returns (y_new, k7, err), with err the max-norm of the error
-    estimate over abs_tol + rel_tol*|y_new|; None when a stage or y_new is
-    not finite; and the length of a field result that is not n long.
+    bind(rtol, atol, *constants) returns step(state, k, h), with k the first
+    stage (the last stage of the previous accepted step).  The step unpacks
+    the state and each stage into scalar locals and writes every stage
+    input, the 5th-order solution yn and the error terms as scalar
+    expressions read off _A, _B and _E.  For a model System each stage runs
+    the system's lines and derivatives inline; otherwise the one constant
+    is field, called once per stage on an ndarray.  The step returns
+    (y_new, k7, err), with err the max-norm of the error estimate over
+    abs_tol + rel_tol*|y_new|; None when a stage or y_new is not finite;
+    and the length of a field result that is not n long.  The step's own
+    names, which a System's may not be, are state, k, h, rtol, atol, field,
+    err, array, finite and the numbered yI, ynI and kS_I.
     """
     dim = range(n)
+    constants = ("field",) if system is None else system.constants
 
     def unpack(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in dim)
 
-    def stage(s: int) -> str:
-        return ", ".join(f"y{i} + h * ({_terms(_A[s - 1], i)})" for i in dim)
+    def evaluate(s: int, inputs: list[str]) -> list[str]:
+        """Lines that set k{s}_0, k{s}_1, ... to the field at inputs."""
+        if system is None:
+            return [f"k = field(array([{', '.join(inputs)}]))",
+                    f"{unpack(f'k{s}_')}= k"]
+        return [*(f"{x} = {v}" for x, v in zip(system.states, inputs)),
+                *system.lines,
+                *(f"k{s}_{i} = {d}" for i, d in enumerate(system.derivatives))]
+
+    body = [f"{unpack('k1_')}= k"]
+    for s in range(2, 7):
+        body += evaluate(s, [f"y{i} + h * ({_terms(_A[s - 1], i)})"
+                             for i in dim])
+    body += [f"yn{i} = y{i} + h * ({_terms(_B, i)})" for i in dim]
+    # FSAL: the last row of _A is _B, so the last stage is taken at y_new
+    body += evaluate(7, [f"yn{i}" for i in dim])
+    if system is None:
+        body = ["try:", *(f"    {line}" for line in body),
+                "except ValueError:",
+                f"    if len(k) != {n}:",
+                "        return len(k)",
+                "    raise"]
 
     values = [f"yn{i}" for i in dim] + [f"k{s}_{i}" for s in range(1, 8)
                                         for i in dim]
     errors = ", ".join(f"abs(h * ({_terms(_E, i)})) / (atol + rtol * "
                        f"abs(yn{i}))" for i in dim)
     lines = [
-        "def step(field, y, k, h, rtol, atol):",
-        f"    {unpack('y')}= y",
-        "    try:",
-        f"        {unpack('k1_')}= k",
-    ]
-    for s in range(2, 7):
-        lines += [f"        k = field(array([{stage(s)}]))",
-                  f"        {unpack(f'k{s}_')}= k"]
-    lines += [f"        yn{i} = y{i} + h * ({_terms(_B, i)})" for i in dim]
-    # FSAL: the last row of _A is _B, so the last stage is taken at y_new
-    lines += [
-        f"        y_new = [{', '.join(f'yn{i}' for i in dim)}]",
-        "        k = field(array(y_new))",
-        f"        {unpack('k7_')}= k",
-        "    except ValueError:",
-        f"        if len(k) != {n}:",
-        "            return len(k)",
-        "        raise",
+        f"def bind(rtol, atol, {', '.join(constants)}):",
+        "    def step(state, k, h):",
+        f"        {unpack('y')}= state",
+        *(f"        {line}" for line in body),
         # a sum of finite values is finite unless it overflows, and then
         # each value is tested; before err, as max() passes over a NaN
-        f"    if not finite({' + '.join(values)}) and not all(map(finite, "
-        f"({', '.join(values)}))):",
-        "        return None",
-        f"    err = {f'max({errors})' if n > 1 else errors}",
-        "    return y_new, k, err",
+        f"        if not finite({' + '.join(values)}) and not all(map("
+        f"finite, ({', '.join(values)}))):",
+        "            return None",
+        f"        err = {f'max({errors})' if n > 1 else errors}",
+        f"        return [{', '.join(f'yn{i}' for i in dim)}], "
+        f"[{', '.join(f'k7_{i}' for i in dim)}], err",
+        "    return step",
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _step_for(n: int) -> Callable:
-    """The step of _step_source(n), compiled once for each dimension n."""
+def _step_for(n: int, system=None) -> Callable:
+    """bind of _step_source(n, system), compiled once for each dimension
+    and system."""
     namespace = {"array": np.array, "finite": math.isfinite}
-    exec(compile(_step_source(n), f"<dopri5 step, n={n}>", "exec"),
+    if system is not None:
+        namespace.update(system.names)
+    name = f"n={n}" if system is None else system.name
+    exec(compile(_step_source(n, system), f"<dopri5 step, {name}>", "exec"),
          namespace)
-    return namespace["step"]
+    return namespace["bind"]
+
+
+def step_source(field: Callable, n: int) -> str:
+    """The source of the step integrate runs for field on n components."""
+    return _step_source(n, getattr(field, "system", None))
 
 
 _SAFETY = 0.9
@@ -168,9 +192,12 @@ def integrate(
 
     field takes the state as a 1-D float ndarray and returns, on every call,
     a sequence of exactly as many numbers: a list, a tuple or an ndarray.
-    The step is generated from the tableau once for each state dimension;
-    it sums the stages in Python floats in tableau order, so a rerun gives
-    the same bits on any BLAS build.
+    The step is generated from the tableau once for each state dimension,
+    and once for each model System: a field that System.bind made carries
+    .system and .constants, and its expressions are inlined at each stage
+    of the step, which gives the same bits as calling it.  Any other field
+    is called once per stage.  The step sums the stages in Python floats
+    in tableau order, so a rerun gives the same bits on any BLAS build.
 
     The final time t1 is always included in the output grid.  Raises
     StepLimitExceeded when the step budget runs out and NonFiniteState when
@@ -198,8 +225,6 @@ def integrate(
     out = np.empty((len(grid), start.size))
     out[0] = start
 
-    step = _step_for(start.size)
-    rtol, atol = settings.rel_tol, settings.abs_tol
     max_steps = _MAX_STEPS
     h = _INITIAL_STEP
     t = t0
@@ -208,6 +233,10 @@ def integrate(
     if np.ndim(k7) != 1:  # the step would fail to unpack it as n numbers
         raise ValueError(f"field returned a result of shape {np.shape(k7)} "
                          f"for a state of {start.size} ({_where(t, h, y)})")
+    system = getattr(field, "system", None)
+    step = _step_for(start.size, system)(
+        settings.rel_tol, settings.abs_tol,
+        *(field.constants if system is not None else (field,)))
     steps = 0
 
     for i, t_target in enumerate(grid.tolist()[1:], 1):
@@ -219,7 +248,7 @@ def integrate(
             h = min(h, t_target - t)
 
             try:
-                stepped = step(field, y, k7, h, rtol, atol)
+                stepped = step(y, k7, h)
             except DomainError as exc:
                 raise DomainError(f"{exc} ({_where(t, h, y)})") from exc
             if stepped.__class__ is not tuple:

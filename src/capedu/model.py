@@ -8,19 +8,24 @@ Y = E^alpha * K^beta feeding proportional investments):
                   modulated by a chaotic driver, s_k + c*x(t)
 * controlled   -- 3-D (K, E, s_r): education investment adjusts so that
                   consumption tracks a target fraction p of output
+
+Each system, and the chaotic driver ne9, is declared once as a System:
+its state names and one expression per derivative, as source text.  The
+modulated system is built from the basic one and ne9.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import ClassVar
 
 from .errors import DomainError, ValidationError, require_positive
 
 __all__ = [
-    "ModelParams", "EconState", "production", "consumption",
+    "ModelParams", "EconState", "production", "output", "consumption",
     "basic_rhs", "ne9_rhs", "modulated_rhs", "control_rhs",
     "NE9_B_DEFAULT", "NE9_START_DEFAULT",
 ]
@@ -94,9 +99,34 @@ def _require_positive(K, E):
     raise DomainError(f"K and E must stay positive, got K={K}, E={E}")
 
 
+# Cobb-Douglas output, written once: the economies evaluate this text in
+# their Y line, and output() is compiled from it for floats and arrays alike
+_OUTPUT = "E ** alpha * K ** beta"
+
+# the functions a System's lines may call
+_NAMES = {"_require_positive": _require_positive}
+
+
+def _compiled(name: str, lines: list[str]) -> dict:
+    """The namespace after running the source lines, which may call the
+    functions in _NAMES."""
+    namespace = dict(_NAMES)
+    exec(compile("\n".join(lines) + "\n", f"<capedu {name}>", "exec"),
+         namespace)
+    return namespace
+
+
+output = _compiled("output", [
+    "def output(params, K, E):",
+    '    """Output Y = E^alpha * K^beta, on floats or on arrays."""',
+    "    alpha, beta = params.alpha, params.beta",
+    f"    return {_OUTPUT}",
+])["output"]
+
+
 def production(params: ModelParams, state: EconState) -> float:
     """Output level Y = E^alpha * K^beta."""
-    return state.E ** params.alpha * state.K ** params.beta
+    return output(params, state.K, state.E)
 
 
 def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:
@@ -104,64 +134,92 @@ def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:
     return (1.0 - params.s_k - s_r_current) * Y
 
 
-# Vector fields as closures for the integrator: each takes a flat numpy state,
-# unpacks it as Python floats and returns a list of floats, which is cheaper
-# than numpy scalars and arrays and gives the same bits.
+@dataclass(frozen=True, eq=False)
+class System:
+    """One vector field, declared once as source text: the names of its
+    states and of the constants bound per run (ModelParams fields by their
+    names), the lines each evaluation runs first (the domain guard and Y,
+    calling only functions in names) and one expression per derivative.
+
+    bind() compiles the array form once per system, and integrate inlines
+    the same text into its step.  Names must differ from the step's own
+    (see integrator._step_source).
+    """
+
+    name: str
+    states: tuple[str, ...]
+    constants: tuple[str, ...]
+    lines: tuple[str, ...]
+    derivatives: tuple[str, ...]
+
+    names: ClassVar[dict] = _NAMES
+
+    @functools.cached_property
+    def _array_form(self):
+        return _compiled(f"{self.name} field", [
+            f"def bind({', '.join(self.constants)}):",
+            "    def rhs(v):",
+            f"        {', '.join(self.states)}, = v.tolist()",
+            *(f"        {line}" for line in self.lines),
+            f"        return [{', '.join(self.derivatives)}]",
+            "    return rhs",
+        ])["bind"]
+
+    def bind(self, params: ModelParams | None = None, **values):
+        """The field with its constants bound, taken from values or params.
+
+        It takes a flat float ndarray and returns a list of Python floats,
+        and carries .system and .constants, so that integrate inlines it.
+        """
+        constants = tuple(values[name] if name in values
+                          else getattr(params, name)
+                          for name in self.constants)
+        rhs = self._array_form(*constants)
+        rhs.system, rhs.constants = self, constants
+        return rhs
+
+
+BASIC = System(
+    "basic", states=("K", "E"),
+    constants=("s_k", "s_r", "delta_k", "delta_r", "alpha", "beta"),
+    lines=("_require_positive(K, E)", f"Y = {_OUTPUT}"),
+    derivatives=("s_k * Y - delta_k * K", "s_r * Y - delta_r * E"))
+
+NE9 = System(
+    "ne9", states=("x", "y", "z"), constants=("b",), lines=(),
+    derivatives=("y", "-x - y * z", "-x * z + 7.0 * x * x - b"))
+
+# the driver modulates the capital investment fraction: s_k in the basic
+# equations becomes s_k + c*x
+MODULATED = System(
+    "modulated", states=BASIC.states + NE9.states,
+    constants=BASIC.constants + ("c",) + NE9.constants, lines=BASIC.lines,
+    derivatives=tuple(re.sub(r"\bs_k\b", "(s_k + c * x)", d)
+                      for d in BASIC.derivatives) + NE9.derivatives)
+
+# s_r becomes a state that drifts at the rate consumption exceeds p*Y
+CONTROLLED = System(
+    "controlled", states=BASIC.states + ("s_r",),
+    constants=tuple(n for n in BASIC.constants if n != "s_r") + ("p",),
+    lines=BASIC.lines,
+    derivatives=BASIC.derivatives + ("(1.0 - s_k - s_r - p) * Y",))
+
 
 def basic_rhs(params: ModelParams):
     """d/dt (K, E) for the basic 2-D system."""
-    s_k, s_r = params.s_k, params.s_r
-    d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
-
-    def rhs(v: np.ndarray) -> list[float]:
-        K, E = v.tolist()
-        _require_positive(K, E)
-        Y = E ** a * K ** b
-        return [s_k * Y - d_k * K, s_r * Y - d_r * E]
-
-    return rhs
+    return BASIC.bind(params)
 
 
 def ne9_rhs(b: float = NE9_B_DEFAULT):
     """d/dt (x, y, z) of the chaotic driver."""
-    def rhs(v: np.ndarray) -> list[float]:
-        x, y, z = v.tolist()
-        return [y, -x - y * z, -x * z + 7.0 * x * x - b]
-
-    return rhs
+    return NE9.bind(b=b)
 
 
 def modulated_rhs(params: ModelParams, c: float, b: float = NE9_B_DEFAULT):
     """d/dt (K, E, x, y, z): capital investment coefficient s_k + c*x."""
-    s_k, s_r = params.s_k, params.s_r
-    d_k, d_r, al, be = params.delta_k, params.delta_r, params.alpha, params.beta
-
-    def rhs(v: np.ndarray) -> list[float]:
-        K, E, x, y, z = v.tolist()
-        _require_positive(K, E)
-        Y = E ** al * K ** be
-        return [
-            (s_k + c * x) * Y - d_k * K,
-            s_r * Y - d_r * E,
-            y, -x - y * z, -x * z + 7.0 * x * x - b,
-        ]
-
-    return rhs
+    return MODULATED.bind(params, c=c, b=b)
 
 
 def control_rhs(params: ModelParams, p: float):
     """d/dt (K, E, s_r): s_r drifts at the rate consumption exceeds p*Y."""
-    s_k = params.s_k
-    d_k, d_r, a, b = params.delta_k, params.delta_r, params.alpha, params.beta
-
-    def rhs(v: np.ndarray) -> list[float]:
-        K, E, s_r = v.tolist()
-        _require_positive(K, E)
-        Y = E ** a * K ** b
-        return [
-            s_k * Y - d_k * K,
-            s_r * Y - d_r * E,
-            (1.0 - s_k - s_r - p) * Y,
-        ]
-
-    return rhs
+    return CONTROLLED.bind(params, p=p)

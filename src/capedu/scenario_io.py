@@ -228,13 +228,19 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One independent run per value, in sequence; per-row failures do not
-    stop the sweep.  A value its block or Scenario rejects fails its row."""
+    stop the sweep.  A value its block or Scenario rejects fails its row.
+    Each run ends at the sample it reports (the first after 0 for time 0):
+    that grid time as the horizon keeps the grid's prefix and every step.
+    """
     base, name = spec.base, spec.parameter
+    grid = _sample_grid(0.0, base.horizon, base.sample_step)
+    horizon = float(grid[max(1, sample_index(grid, spec.report_time))])
     rows = []
     for value in spec.values:
         try:
             block = replace(getattr(base, _OWNER[name]), **{name: value})
-            scenario = replace(base, **{_OWNER[name]: block})
+            scenario = replace(base, horizon=horizon,
+                               **{_OWNER[name]: block})
             row = run_scenario(scenario).at(spec.report_time)
             rows.append(SweepRow(value=value, Y=row["Y"], C=row["C"]))
         except CapEduError as exc:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrator import RawTrajectory
-from .model import ModelParams
+from .model import ModelParams, output
 
 __all__ = ["Trajectory", "build_trajectory", "sample_index"]
 
@@ -56,7 +56,7 @@ def build_trajectory(params: ModelParams, raw: RawTrajectory,
     leaving [s_r_floor, 1 - s_k], min_effective_sk from s_k.
     """
     data = {name: raw.states[:, j].copy() for j, name in enumerate(state_columns)}
-    Y = data["E"] ** params.alpha * data["K"] ** params.beta
+    Y = output(params, data["K"], data["E"])
     # a varied fraction enters its flow and C, so C + I_k + I_r = Y per row
     sk = params.s_k if s_k is None else s_k
     sr = params.s_r if s_r is None else s_r

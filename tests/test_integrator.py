@@ -1,3 +1,4 @@
+import builtins
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from capedu.errors import DomainError, NonFiniteState, StepLimitExceeded
 from capedu.integrator import (
     _A, _B, _E, _INITIAL_STEP, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY,
     CHAOS_SETTINGS, DEFAULT_SETTINGS, IntegratorSettings, _sample_grid,
-    _step_for, integrate,
+    _step_for, integrate, step_source,
 )
 from capedu.model import (
     ModelParams, basic_rhs, control_rhs, modulated_rhs, ne9_rhs,
@@ -343,6 +344,76 @@ def test_list_and_ndarray_fields_give_the_same_bits():
     as_list = integrate(field, *args)
     as_array = integrate(lambda v: np.array(field(v)), *args)
     assert np.array_equal(as_list.states, as_array.states)
+
+
+# the four model systems, whose expressions integrate inlines into the step;
+# behind a lambda the same field is opaque and called once per stage, as
+# the benchmark's tracer calls it
+SYSTEM_RUNS = {
+    "basic": (basic_rhs(BASELINE), [4.0, 1.0], 200.0, DEFAULT_SETTINGS, 1.0),
+    "controlled": (control_rhs(BASELINE, 0.47), [4.0, 1.0, 0.1], 200.0,
+                   DEFAULT_SETTINGS, 0.5),
+    "ne9": (ne9_rhs(), [0.5, 0.0, 0.0], 20.0, CHAOS_SETTINGS, 0.01),
+    "modulated": (modulated_rhs(BASELINE, 0.5), [4.0, 1.0, 0.5, 0.0, 0.0],
+                  20.0, CHAOS_SETTINGS, 0.05),
+}
+
+
+@pytest.mark.parametrize("name", list(SYSTEM_RUNS))
+def test_inlined_and_opaque_fields_give_the_same_bits(name):
+    field, y0, t1, run_settings, sample_step = SYSTEM_RUNS[name]
+    args = (y0, 0.0, t1, run_settings, sample_step)
+    inlined = integrate(field, *args)
+    calls, opaque = rhs_calls(integrate, field, *args)
+    assert calls > 1  # the wrapper took the opaque path
+    assert np.array_equal(inlined.times, opaque.times)
+    assert np.array_equal(inlined.states, opaque.states)
+
+
+FAST_DECAY = replace(BASELINE, delta_k=50.0)
+
+
+@pytest.mark.parametrize("field,y0", [
+    (basic_rhs(FAST_DECAY), [4.0, 1.0]),
+    (control_rhs(FAST_DECAY, 0.47), [4.0, 1.0, 0.1]),
+    (modulated_rhs(FAST_DECAY, 0.5), [4.0, 1.0, 0.5, 0.0, 0.0]),
+], ids=["basic", "controlled", "modulated"])
+def test_inlined_and_opaque_fields_raise_the_same_domain_error(
+        field, y0, monkeypatch):
+    # decay this fast sends the first stage of a 0.5 step below K = 0
+    monkeypatch.setattr(integrator, "_INITIAL_STEP", 0.5)
+    messages = []
+    for path in (field, lambda v: field(v)):
+        with pytest.raises(DomainError) as info:
+            integrate(path, y0, 0.0, 10.0, sample_step=1.0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("K and E must stay positive")
+    assert "(from t=0 with h=0.5, y=[4, 1" in messages[0]
+
+
+def test_wrapped_model_field_of_the_wrong_length_names_the_step():
+    field = basic_rhs(BASELINE)
+    with pytest.raises(ValueError, match=r"^field returned 1 values for a "
+                                         r"state of 2 \(from t=0 with h="):
+        integrate(lambda v: field(v)[:1], [4.0, 1.0], 0.0, 1.0)
+
+
+def test_generated_steps_stay_readable(monkeypatch):
+    inlined = step_source(basic_rhs(BASELINE), 2)
+    assert "field(" not in inlined
+    assert inlined.count("_require_positive(K, E)") == 6
+    # one call per stage after the FSAL seed: 1 + 6k calls for k steps
+    assert step_source(decay, 2).count("field(") == 6
+    integrate(basic_rhs(BASELINE), [4.0, 1.0], 0.0, 1.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled again")
+
+    monkeypatch.setattr(builtins, "compile", refuse)
+    monkeypatch.setattr(builtins, "exec", refuse)
+    # other constants, same system: the step and array form are only bound
+    integrate(basic_rhs(replace(BASELINE, s_k=0.3)), [2.0, 3.0], 0.0, 1.0)
 
 
 @st.composite

@@ -500,6 +500,29 @@ class TestSweep:
                 base, params=replace(base.params, delta_r=value))).at(200.0)
             assert row.Y == single["Y"] and row.C == single["C"]
 
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in SCENARIO_DIR.glob("*.json")))
+    def test_each_row_equals_the_full_run_at_its_report_time(self, name):
+        # each row runs only to its report time; the grid prefix, and so
+        # every step, is the full run's
+        base = read_scenario(name)
+        full = run_scenario(base)
+        last = len(full.times) - 1
+        for i in (0, 1, last // 3, last - 1, last):
+            t = float(full.times[i])
+            row = run_sweep(SweepSpec(base=base, parameter="delta_r",
+                                      values=(base.params.delta_r,),
+                                      report_time=t))[0]
+            assert (row.Y, row.C) == (full.at(t)["Y"], full.at(t)["C"])
+
+    def test_row_does_not_run_past_its_report_time(self):
+        # with b = 0.5 the driver grows until K crosses 0 near t = 84, a
+        # crawl of minutes at steps of ~1e-7; the row reports t = 1
+        base = read_scenario("chaotic_plus.json")
+        row = run_sweep(SweepSpec(base=base, parameter="b", values=(0.5,),
+                                  report_time=1.0))[0]
+        assert row.error is None and row.Y > 0
+
     def test_growth_increases_with_education_investment(self):
         base = read_scenario("basic_baseline.json")
         spec = SweepSpec(base=base, parameter="s_r",
