@@ -169,12 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("simulate", help="run one scenario, emit trajectory CSV")
     scenario_flag(p)
-    p.set_defaults(func=_cmd_simulate)
 
     p = add_parser("equilibrium",
                    help="closed-form equilibrium, eigenvalues, stability")
     scenario_flag(p)
-    p.set_defaults(func=_cmd_equilibrium)
 
     p = add_parser("sweep", help="rerun a scenario over parameter values")
     scenario_flag(p)
@@ -186,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated parameter values")
     p.add_argument("--at", type=float, required=True,
                    help="report time for Y and C")
-    p.set_defaults(func=_cmd_sweep)
 
     p = add_parser("tipping",
                    help="bisect for the consumption target where "
@@ -201,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-r0", dest="s_r0", type=float, default=None,
                    help="initial education investment fraction "
                         "(default: scenario control block, else 0.1)")
-    p.set_defaults(func=_cmd_tipping)
 
     p = add_parser("chaos",
                    help="run the chaotic driver, print its running average")
@@ -215,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=chaos_mod.DEFAULT_SAMPLE_STEP)
     p.add_argument("--rel-tol", type=float, default=CHAOS_SETTINGS.rel_tol)
     p.add_argument("--abs-tol", type=float, default=CHAOS_SETTINGS.abs_tol)
-    p.set_defaults(func=_cmd_chaos)
 
     p = add_parser("phase",
                    help="vector-field samples plus orbits on a grid")
@@ -227,27 +222,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="8x8", type=_split("x", int, "NKxNE"),
                    help="NKxNE node counts")
     p.add_argument("--horizon", type=float, default=300.0)
-    p.set_defaults(func=_cmd_phase)
 
     p = add_parser("plot", help="render a trajectory CSV as an SVG chart")
     p.add_argument("--csv", required=True, help="trajectory CSV file")
     p.add_argument("--columns", default="Y",
                    help="comma-separated columns to plot (default Y)")
     p.add_argument("--title", default="")
-    p.set_defaults(func=_cmd_plot)
 
     return parser
 
 
+# run's parser, built on its first call (not at import) and kept for the
+# process; it holds no handlers, so a patched _cmd_* is what run calls
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; map the latter to 1
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        _write_output(args.func(args), args.out)  # _cmd_* return their text
+        _write_output(handler(args), args.out)  # _cmd_* return their text
         return EXIT_OK
     except CapEduError as exc:
         print(f"error: {exc}", file=sys.stderr)

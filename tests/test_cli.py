@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,7 +22,8 @@ from capedu.errors import (
     ValidationError,
 )
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 @pytest.fixture
@@ -253,6 +258,81 @@ def test_error_exit_code(cls, basic_scenario, monkeypatch, capsys):
     assert run(["equilibrium", "--scenario", str(basic_scenario)]) == \
         EXIT_CODES[cls]
     assert "error:" in capsys.readouterr().err
+
+
+def test_parser_is_built_once(basic_scenario, monkeypatch, capsys):
+    argv = ["equilibrium", "--scenario", str(basic_scenario)]
+    assert run(argv) == 0
+    first = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parser built again")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(argv) == 0
+    assert capsys.readouterr() == first
+
+
+def test_handler_is_looked_up_on_each_call(basic_scenario, monkeypatch,
+                                           capsys):
+    argv = ["equilibrium", "--scenario", str(basic_scenario)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_cmd_equilibrium",
+                        lambda args: f"patched {args.scenario}\n")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"patched {basic_scenario}\n"
+
+
+def test_many_commands_in_one_process(tmp_path, capsys):
+    csv = tmp_path / "run.csv"
+    csv.write_text("t,Y\n0,1\n1,2\n")
+    basic = str(SCENARIO_DIR / "basic_baseline.json")
+    simulate = ["simulate", "--scenario", basic]
+    sweep = ["sweep", "--scenario", basic, "--param", "delta_r", "--at", "200"]
+    calls = [
+        (simulate, 0),
+        (sweep + ["--values", "0.25,0.21"], 0),
+        (sweep + ["--values", "0.1,abc"], 1),
+        (["--help"], 0),
+        (["sweep", "--help"], 0),
+        (["plot", "--csv", str(csv), "--columns", "nope"], 2),
+        (["equilibrium", "--scenario", basic], 0),
+        (simulate, 0),
+    ]
+
+    def one_round():
+        seen = []
+        for argv, code in calls:
+            assert run(argv) == code, argv
+            seen.append(capsys.readouterr())
+        return seen
+
+    first = one_round()
+    assert first[0] == first[-1]  # an error or --help in between leaks nothing
+    assert one_round() == first
+
+
+# counts the argparse parsers built while capedu.cli is imported
+IMPORT_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import capedu.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 def test_tipping_p_out_of_range_is_exit_2(capsys):
