@@ -200,7 +200,8 @@ def integrate(
     in tableau order, so a rerun gives the same bits on any BLAS build.
 
     The final time t1 is always included in the output grid.  Raises
-    StepLimitExceeded when the step budget runs out and NonFiniteState when
+    StepLimitExceeded when the step budget runs out or a rejected step would
+    shrink h below 16 * 2**-52 * max(|t0|, |t1|), and NonFiniteState when
     the solution leaves the finite domain; a DomainError raised by the field
     is raised again as a DomainError.  Each of them names the failed step's
     start time t, step size h and state y.  ValueError flags bad arguments:
@@ -226,6 +227,9 @@ def integrate(
     out[0] = start
 
     max_steps = _MAX_STEPS
+    # a rejected step may not shrink h below 16 ulps of the largest time:
+    # t + h would no longer move t, and h would shrink until it underflows
+    h_floor = 16 * 2.0 ** -52 * max(abs(t0), abs(t1))
     h = _INITIAL_STEP
     t = t0
     y = start.tolist()
@@ -267,7 +271,12 @@ def integrate(
                     _MAX_FACTOR, _SAFETY * err ** -_ORDER_EXP)
                 h = h * max(_MIN_FACTOR, factor)
             else:
-                h = h * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
+                shrunk = h * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
+                if shrunk < h_floor:
+                    raise StepLimitExceeded(
+                        f"step size fell below the floor {h_floor:.6g} "
+                        f"({_where(t, h, y)})")
+                h = shrunk
         t = t_target
         out[i] = y
 

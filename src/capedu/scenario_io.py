@@ -268,15 +268,19 @@ def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     ValidationError naming the row, and a cell that is not a number raises
     it naming the column and the row.  One np.loadtxt pass parses a table;
     the per-row loop, with float() per cell, runs only on one it refuses.
+    Rows end at "\n" alone, and a "\r" before it is dropped; an empty row
+    is skipped.
     """
-    lines = [ln for ln in text.splitlines() if ln]
+    lines = [ln.removesuffix("\r") for ln in text.split("\n")]
+    lines = [ln for ln in lines if ln]
     if len(lines) < 2:
         raise EmptySeries("CSV has no data rows")
     header, rows = tuple(lines[0].split(",")), lines[1:]
     with contextlib.suppress(ValueError):
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        # loadtxt strips \x1f as a space; float() refuses a cell with one
-        if table.shape[1] == len(header) and "\x1f" not in text:
+        # loadtxt strips \x1c-\x1f as spaces; float() refuses a cell with one
+        if table.shape[1] == len(header) and not any(
+                c in text for c in "\x1c\x1d\x1e\x1f"):
             return header, table
     table = np.empty((len(rows), len(header)))
     for i, line in enumerate(rows, 1):
@@ -309,10 +313,63 @@ def write_sweep_csv(rows: list[SweepRow]) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+# A polyline of fewer points is formatted point by point: with cold caches
+# numpy's fixed cost is the larger below about 200 points.
+_FIXED2_MIN_POINTS = 256
+# values per numpy pass; one pass over a whole long polyline raises peak RSS
+_FIXED2_BLOCK = 8192
+_SPLIT = 134217729.0  # 2**27 + 1: v * _SPLIT splits v into two 26-bit halves
+
+
+def _fixed2(v: np.ndarray) -> str:
+    """'{:.2f}' of each value of v, followed by ',' at even and ' ' at odd
+    positions; every value is in (0, 999.99) and v.size is even.
+
+    format rounds the exact binary value half to even.  v*100 is y + e
+    exactly (Dekker's product: 100 needs no split), so g, the fraction of
+    y less 1/2 plus e, has the exact sign of the fraction of v*100 less 1/2.
+    """
+    y = v * 100
+    t = v * _SPLIT
+    hi = t - (t - v)
+    e = (hi * 100 - y) + (v - hi) * 100
+    r = np.floor(y)
+    g = (y - r - 0.5) + e
+    n = r.astype(np.int32) + (g > 0)
+    n += (g == 0) & (n & 1)  # a tie rounds to the even neighbour
+    text = np.empty((v.size, 7), np.uint8)  # "ddd.dd" and the separator
+    text[:, 3] = ord(".")
+    text[0::2, 6] = ord(",")
+    text[1::2, 6] = ord(" ")
+    keep = np.ones(text.shape, bool)  # all but the leading zeros
+    keep[:, 0] = n >= 10000
+    keep[:, 1] = n >= 1000
+    for col in (5, 4, 2, 1, 0):
+        n, digit = np.divmod(n, 10)
+        text[:, col] = digit + ord("0")
+    return text[keep].tobytes().decode()
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> str:
+    """'x,y x,y ...' with each coordinate as '{:.2f}' writes it."""
+    if x.size >= _FIXED2_MIN_POINTS:
+        xy = np.column_stack((x, y)).ravel()
+        if 0 < xy.min() and xy.max() < 999.99:  # False for a NaN
+            return "".join(_fixed2(xy[i:i + _FIXED2_BLOCK]) for i in
+                           range(0, xy.size, _FIXED2_BLOCK))[:-1]
+    return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
 
 
 def render_svg(series, title: str = "") -> str:
-    """Standalone SVG with axes, polylines and a legend; deterministic text."""
+    """Standalone SVG with axes, polylines and a legend; deterministic text.
+
+    Each point is written as "{:.2f},{:.2f}".format writes it: the exact
+    binary value rounded to hundredths, a tie to the even neighbour.  A
+    polyline of 256 points or more whose coordinates all lie in
+    (0, 999.99) is formatted in numpy to the same text; a shorter one, or
+    one with a coordinate outside that range or not finite, is formatted
+    point by point.
+    """
     if not series:
         raise EmptySeries("no series to plot")
     cleaned = []
@@ -371,10 +428,8 @@ def render_svg(series, title: str = "") -> str:
     # polylines
     for i, (label, t, v) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(map("{:.2f},{:.2f}".format, sx(t).tolist(),
-                               sy(v).tolist()))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                   f'points="{pts}"/>')
+                   f'points="{_points(sx(t), sy(v))}"/>')
     # legend
     for i, (label, _, _) in enumerate(cleaned):
         color = _PALETTE[i % len(_PALETTE)]

@@ -82,6 +82,18 @@ def test_step_limit_exceeded(monkeypatch):
         integrate(decay, [1.0], 0.0, 100.0, sample_step=100.0)
 
 
+def test_step_size_floor_stops_a_field_no_step_can_follow():
+    # the field jumps from 1e300 to -1e300 at y = 1, so every step across
+    # it is rejected; without a floor h shrinks toward underflow
+    def field(v):
+        return [1e300 if v[0] < 1 else -1e300]
+
+    with pytest.raises(StepLimitExceeded) as info:
+        integrate(field, [0.0], 0.0, 1.0, sample_step=1.0)
+    assert str(info.value) == ("step size fell below the floor 3.55271e-15 "
+                               "(from t=0 with h=6.5536e-15, y=[0])")
+
+
 def test_non_finite_state_detected():
     def field(y):
         if y[0] > 100.0:

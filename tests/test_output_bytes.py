@@ -1,7 +1,8 @@
 """The output path's bytes, pinned by sha256.
 
-Each digest was taken from the writer before it worked on whole columns;
-a faster writer or renderer must keep every byte.
+Each digest was taken from the writer before it worked on whole columns,
+and each `capedu plot` digest from the renderer before it formatted the
+points in numpy; a faster writer or renderer must keep every byte.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capedu.cli import run
 from capedu.scenario_io import (SweepSpec, load_scenario, phase_portrait,
                                 render_svg, run_scenario, run_sweep,
                                 write_phase_csv, write_sweep_csv,
@@ -56,6 +58,23 @@ def test_svg_bytes():
     assert svg.count("<polyline") == 4
     assert sha256(svg) == \
         "349c7ff62cdc7350c73e177da08d9142bc90f8940c1be0ff3a5146507419c3ed"
+
+
+@pytest.mark.parametrize("name,columns,digest", [
+    # a regular time grid: half of its x coordinates sit on or next to .2f ties
+    ("basic_baseline.json", "K,E,Y,C",
+     "c5797290a598502f8cf091bcd7388459fb3bfa57e7ebc0cd13d5942a439c308b"),
+    # 4,001 rows of a 10-column chaotic run
+    ("chaotic_plus.json", "Y,C",
+     "a879bb703de629cb8ba3f72245b2fa69da15432ff8b9033b0616aab0d24ae6b6"),
+])
+def test_cli_plot_bytes(name, columns, digest, tmp_path):
+    csv, svg = tmp_path / "run.csv", tmp_path / "plot.svg"
+    assert run(["simulate", "--scenario", str(SCENARIO_DIR / name),
+                "--out", str(csv)]) == 0
+    assert run(["plot", "--csv", str(csv), "--columns", columns,
+                "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
 def test_phase_csv_bytes(baseline_params):

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capedu import scenario_io
 from capedu.errors import CapEduError, EmptySeries, ParseError, ValidationError
 from capedu.integrator import CHAOS_SETTINGS, IntegratorSettings
 from capedu.model import ModelParams
 from capedu.scenario_io import (
+    _FIXED2_MIN_POINTS,
     _KIND_BLOCKS,
     _SHARED_BLOCKS,
     BLOCKS,
@@ -747,14 +749,25 @@ class TestCsvReader:
         # loadtxt strips \x1f as whitespace, float() refuses it
         ("0,\x1f1\n", "a", "non-numeric value '\\x1f1' in data row 1"),
         ("\x1f0,1\n", "t", "non-numeric value '\\x1f0' in data row 1"),
+        # rows end at "\n" only: str.splitlines() also breaks at these
+        ("0,1\x1e2\n", "a", "non-numeric value '1\\x1e2' in data row 1"),
+        ("0,1\x1c\n", "a", "non-numeric value '1\\x1c' in data row 1"),
+        ("0,1\n1,2\u20283\n", "a",
+         "non-numeric value '2\\u20283' in data row 2"),
     ], ids=["whitespace", "hash", "long-row", "short-row", "x1f-cell",
-            "x1f-time"])
+            "x1f-time", "x1e-in-row", "x1c-cell", "u2028-in-row"])
     def test_bad_table_raises_the_per_row_error(self, rows, field, message):
         for read in (read_trajectory_csv, per_row):
             with pytest.raises(ValidationError) as info:
                 read("t,a\n" + rows)
             assert info.value.field == field
             assert str(info.value) == f"{field}: {message}"
+
+    @pytest.mark.parametrize("read", [read_trajectory_csv, per_row])
+    def test_crlf_rows_read_as_lf_rows(self, read):
+        header, table = read("t,a\r\n0,1\r\n\r\n1,2.5\r")
+        assert header == ("t", "a")
+        assert table.tolist() == [[0.0, 1.0], [1.0, 2.5]]
 
     @pytest.mark.parametrize("text", ["t\n0\n1.5\n", "t\n1_0\n2\n"],
                              ids=["one-pass", "per-row"])
@@ -798,6 +811,64 @@ class TestRenderSvg:
             render_svg([])
         with pytest.raises(EmptySeries):
             render_svg([("x", np.array([]), np.array([]))])
+
+
+def reference_points(x, y):
+    return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+
+
+def interleaved(values):
+    """x and y of a polyline of _FIXED2_MIN_POINTS points whose
+    coordinates, in the order x0, y0, x1, y1, ..., repeat values."""
+    v = np.resize(np.asarray(values, float), 2 * _FIXED2_MIN_POINTS)
+    return v[0::2], v[1::2]
+
+
+def decimal_ties():
+    """Every (k + 0.5)/100 in (0, 999.99) and the doubles either side."""
+    ties = (np.arange(99999) + 0.5) / 100
+    return np.concatenate([np.nextafter(ties, -np.inf), ties,
+                           np.nextafter(ties, np.inf)])
+
+
+class TestPointFormatter:
+    """_points writes what the per-point "{:.2f},{:.2f}".format writes."""
+
+    @pytest.mark.parametrize("values", [
+        decimal_ties(),
+        np.arange(1, 8000) / 8,  # binary ties: every n/8 with n odd
+        *(70 + np.arange(n) * 710 / (n - 1) for n in (401, 2001)),
+        # the smallest values, subnormal ones too, all write 0.00
+        np.resize([5e-324, 1e-310, 1e-300, 1e-9, 0.004999999999999999], 256),
+    ], ids=["decimal-ties", "binary-ties", "grid-401", "grid-2001", "tiny"])
+    def test_fixed_cases_take_numpy_and_match(self, values):
+        x, y = values, values[::-1]
+        with mock.patch.object(scenario_io, "_fixed2",
+                               wraps=scenario_io._fixed2) as fixed2:
+            assert scenario_io._points(x, y) == reference_points(x, y)
+        assert fixed2.called
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 999.99, 999.995, 1e3, math.nan, math.inf, -math.inf])
+    def test_values_outside_the_range_fall_back(self, value):
+        x, y = interleaved([1.0, 2.0, 3.0, value])
+        with mock.patch.object(scenario_io, "_fixed2",
+                               side_effect=AssertionError):
+            assert scenario_io._points(x, y) == reference_points(x, y)
+
+    def test_short_polyline_falls_back(self):
+        x, y = interleaved([12.345, 0.125])
+        x, y = x[:_FIXED2_MIN_POINTS - 1], y[:_FIXED2_MIN_POINTS - 1]
+        with mock.patch.object(scenario_io, "_fixed2",
+                               side_effect=AssertionError):
+            assert scenario_io._points(x, y) == reference_points(x, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1000.0, exclude_min=True,
+                              exclude_max=True), min_size=1, max_size=64))
+    def test_any_values_match(self, values):
+        x, y = interleaved(values)
+        assert scenario_io._points(x, y) == reference_points(x, y)
 
 
 class TestPhasePortrait:
