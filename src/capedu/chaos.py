@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .errors import require_finite
 from .integrator import CHAOS_SETTINGS, IntegratorSettings, RawTrajectory, integrate
 from .model import EconState, ModelParams
 from .trajectory import Trajectory, build_trajectory
@@ -32,6 +33,8 @@ def simulate_ne9(b: float = model.NE9_B_DEFAULT,
                  settings: IntegratorSettings | None = None,
                  sample_step: float = DEFAULT_SAMPLE_STEP) -> RawTrajectory:
     """Trajectory of the 3-D chaotic driver from (x0, y0, z0)."""
+    for name, value in zip(("x0", "y0", "z0", "b"), (x0, y0, z0, b)):
+        require_finite(name, value)
     return integrate(model.ne9_rhs(b), np.array([x0, y0, z0]),
                      0.0, horizon, settings or CHAOS_SETTINGS, sample_step)
 
@@ -64,6 +67,8 @@ def simulate_modulated(params: ModelParams, c: float, econ0: EconState,
     The returned trajectory carries Y and C series and the minimum of the
     effective capital coefficient over the run.
     """
+    for name, value in zip(("c", "x0", "y0", "z0", "b"), (c, *chaos0, b)):
+        require_finite(name, value)  # as a ChaosSpec checks them
     y0 = np.array([econ0.K, econ0.E, *chaos0])
     raw = integrate(model.modulated_rhs(params, c, b), y0,
                     0.0, horizon, settings or CHAOS_SETTINGS, sample_step)

@@ -58,9 +58,12 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     The objective is dY(p) = Y(horizon; p) - Y(0); the bracket must straddle
     a sign change, otherwise NoSignChange is raised.  horizon, checked first,
     and tol must be finite and positive: a NaN tol would end the bisection.
+    Then both ends must pass check_target, before the bracket is tested.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
+    check_target(params, p_low)
+    check_target(params, p_high)
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
     y_start = production(params, econ0)

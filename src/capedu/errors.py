@@ -54,6 +54,12 @@ class EmptySeries(CapEduError):
     """Nothing to plot."""
 
 
+def require_finite(field: str, value: float) -> None:
+    """Raise ValidationError naming field unless value is finite."""
+    if not math.isfinite(value):
+        raise ValidationError(field, f"must be finite, got {value}")
+
+
 def require_positive(field: str, value: float) -> None:
     """Raise ValidationError naming field unless value is finite and positive."""
     if not 0 < value < math.inf:  # NaN fails both comparisons

@@ -11,6 +11,7 @@ import contextlib
 import html
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import control as control_mod
 from . import model
 from .analysis import equilibrium
 from .errors import (CapEduError, EmptySeries, ParseError, ValidationError,
-                     require_positive)
+                     require_finite, require_positive)
 from .integrator import (CHAOS_SETTINGS, IntegratorSettings, RawTrajectory,
                          _sample_grid, integrate)
 from .model import EconState, ModelParams
@@ -49,14 +50,16 @@ class ChaosSpec:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValidationError(name, f"must be finite, got {value}")
+            require_finite(name, value)
 
 
 # the blocks each kind of scenario has beside the shared ones, and the class
 # each block parses into; a block's keys are the fields of its class
 BLOCKS = {"basic": {}, "controlled": {"control": ControlSpec},
           "chaotic": {"chaos": ChaosSpec}}
+# the integrator settings each kind runs at for what it does not set
+SETTINGS = {"basic": IntegratorSettings(), "controlled": IntegratorSettings(),
+            "chaotic": CHAOS_SETTINGS}
 _SHARED_BLOCKS = {"params": ModelParams, "initial": EconState,
                   "integrator": IntegratorSettings}
 _KIND_BLOCKS = {name: cls for blocks in BLOCKS.values()
@@ -79,13 +82,15 @@ class Scenario:
     sample_step: float
     control: ControlSpec | None = None
     chaos: ChaosSpec | None = None
-    integrator: IntegratorSettings = IntegratorSettings()
+    integrator: IntegratorSettings | None = None  # None: the kind's SETTINGS
 
     def __post_init__(self):
         kind = self.kind
         if not isinstance(kind, str) or kind not in BLOCKS:
             raise ValidationError(
                 "kind", f"must be one of {tuple(BLOCKS)}, got {kind!r}")
+        if self.integrator is None:
+            object.__setattr__(self, "integrator", SETTINGS[kind])
         for name in BLOCKS[kind]:
             if getattr(self, name) is None:
                 raise ParseError(f"{kind} scenario requires a {name} block")
@@ -155,14 +160,14 @@ def load_scenario(text: str) -> Scenario:
         if f.default is MISSING and f.name not in doc:
             raise ParseError(f"missing required field {f.name}")
 
-    kind = doc["kind"]
-    # a chaotic run takes the chaos tolerances for what its document leaves out
-    defaults = {"integrator": CHAOS_SETTINGS} if kind == "chaotic" else {}
-    blocks = {name: _block(doc, name, cls, defaults.get(name))
+    kind = doc["kind"]  # Scenario refuses a kind that is not a str
+    # a partial integrator block takes its missing keys from its kind's row
+    base = {"integrator": SETTINGS.get(kind)} if isinstance(kind, str) else {}
+    blocks = {name: _block(doc, name, cls, base.get(name))
               for name, cls in {**_SHARED_BLOCKS, **_KIND_BLOCKS}.items()
               if name in doc}
     timing = {k: _number(doc[k], k) for k in ("horizon", "sample_step")}
-    return Scenario(kind=kind, **timing, **{**defaults, **blocks})
+    return Scenario(kind=kind, **timing, **blocks)
 
 
 def dump_scenario(scenario: Scenario) -> str:
@@ -178,20 +183,20 @@ def dump_scenario(scenario: Scenario) -> str:
 
 def run_scenario(scenario: Scenario) -> Trajectory:
     """Integrate the scenario's system and attach the derived series."""
-    s = scenario
-    if s.kind == "basic":
-        y0 = np.array([s.initial.K, s.initial.E])
-        raw = integrate(model.basic_rhs(s.params), y0, 0.0, s.horizon,
-                        s.integrator, s.sample_step)
-        return build_trajectory(s.params, raw, ("K", "E"))
-    if s.kind == "controlled":
+    s = scenario  # a Scenario has exactly its kind's blocks
+    if s.control is not None:
         return control_mod.simulate_controlled(
             s.params, s.control.p, s.initial, s.control.s_r0,
             s.horizon, s.integrator, s.sample_step)
-    ch = s.chaos
-    return chaos_mod.simulate_modulated(
-        s.params, ch.c, s.initial, (ch.x0, ch.y0, ch.z0), ch.b,
-        s.horizon, s.integrator, s.sample_step)
+    if s.chaos is not None:
+        ch = s.chaos
+        return chaos_mod.simulate_modulated(
+            s.params, ch.c, s.initial, (ch.x0, ch.y0, ch.z0), ch.b,
+            s.horizon, s.integrator, s.sample_step)
+    y0 = np.array([s.initial.K, s.initial.E])
+    raw = integrate(model.basic_rhs(s.params), y0, 0.0, s.horizon,
+                    s.integrator, s.sample_step)
+    return build_trajectory(s.params, raw, ("K", "E"))
 
 
 @dataclass(frozen=True)
@@ -354,10 +359,21 @@ def _points(x: np.ndarray, y: np.ndarray) -> str:
     """'x,y x,y ...' with each coordinate as '{:.2f}' writes it."""
     if x.size >= _FIXED2_MIN_POINTS:
         xy = np.column_stack((x, y)).ravel()
+        # always true for render_svg, whose coordinates lie in [_MT, _W - _MR]
         if 0 < xy.min() and xy.max() < 999.99:  # False for a NaN
             return "".join(_fixed2(xy[i:i + _FIXED2_BLOCK]) for i in
                            range(0, xy.size, _FIXED2_BLOCK))[:-1]
     return " ".join(map("{:.2f},{:.2f}".format, x.tolist(), y.tolist()))
+
+
+def _axis(lo: float, hi: float) -> tuple[float, float]:
+    """The plotted range of finite data from lo to hi.  A single value is
+    padded by 0.5 each side, or by more where 0.5 is below its spacing,
+    and the range stays within the finite doubles."""
+    if hi > lo:
+        return lo, hi
+    pad, top = max(0.5, abs(lo) * 2**-50), sys.float_info.max
+    return max(lo - pad, -top), min(hi + pad, top)
 
 
 def render_svg(series, title: str = "") -> str:
@@ -365,29 +381,33 @@ def render_svg(series, title: str = "") -> str:
 
     Each point is written as "{:.2f},{:.2f}".format writes it: the exact
     binary value rounded to hundredths, a tie to the even neighbour.  A
-    polyline of 256 points or more whose coordinates all lie in
-    (0, 999.99) is formatted in numpy to the same text; a shorter one, or
-    one with a coordinate outside that range or not finite, is formatted
-    point by point.
+    polyline of 256 points or more is formatted in numpy to the same text;
+    a shorter one is formatted point by point.  A series with a value that
+    is not finite, or whose values widen the plotted range past the largest
+    double, raises ValidationError naming it.
     """
     if not series:
         raise EmptySeries("no series to plot")
     cleaned = []
+    x_lo = y_lo = math.inf
+    x_hi = y_hi = -math.inf
     for label, times, values in series:
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
         if t.size == 0 or t.size != v.size:
             raise EmptySeries(f"series {label!r} is empty or ragged")
+        ends = float(t.min()), float(t.max()), float(v.min()), float(v.max())
+        x_lo, x_hi = min(x_lo, ends[0]), max(x_hi, ends[1])
+        y_lo, y_hi = min(y_lo, ends[2]), max(y_hi, ends[3])
+        # min and max return a NaN the series has; finite spans keep every
+        # coordinate finite
+        if not all(map(math.isfinite, (*ends, x_hi - x_lo, y_hi - y_lo))):
+            raise ValidationError(str(label), "values must be finite, within "
+                                  "a range a double can span")
         cleaned.append((str(label), t, v))
 
-    x_lo = min(float(t.min()) for _, t, _ in cleaned)
-    x_hi = max(float(t.max()) for _, t, _ in cleaned)
-    y_lo = min(float(v.min()) for _, _, v in cleaned)
-    y_hi = max(float(v.max()) for _, _, v in cleaned)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _axis(x_lo, x_hi)
+    y_lo, y_hi = _axis(y_lo, y_hi)
 
     def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)

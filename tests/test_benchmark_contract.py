@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from capedu import cli
+from capedu import cli, scenario_io
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -51,13 +51,39 @@ def test_workload_imports_exist(mod, attr):
     assert callable(getattr(importlib.import_module(mod), attr))
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--scenario", str(SCENARIOS / "basic_baseline.json")],
-    ["simulate", "--scenario", str(SCENARIOS / "controlled_p047.json")],
-    ["simulate", "--scenario", str(SCENARIOS / "chaotic_plus.json")],
-    ["chaos", "--horizon", "10"],
-], ids=["basic", "controlled", "chaotic", "chaos"])
-def test_trace_sees_every_run(argv, capsys):
+def _chaotic_scenario_built_in_code():
+    base = scenario_io.load_scenario(
+        (SCENARIOS / "chaotic_plus.json").read_text())
+    scenario = scenario_io.Scenario(
+        "chaotic", base.params, base.initial, 5.0, 0.5, chaos=base.chaos)
+    # through the module attribute, as the CLI reaches it
+    return lambda: scenario_io.run_scenario(scenario).times.size == 11
+
+
+def _cli(*argv):
+    return lambda: cli.run(list(argv)) == 0
+
+
+BASIC = str(SCENARIOS / "basic_baseline.json")
+CONTROLLED = str(SCENARIOS / "controlled_p047.json")
+
+
+@pytest.mark.parametrize("run,runs", [
+    (_cli("simulate", "--scenario", BASIC), 1),
+    (_cli("simulate", "--scenario", CONTROLLED), 1),
+    (_cli("simulate", "--scenario", str(SCENARIOS / "chaotic_plus.json")), 1),
+    (_cli("chaos", "--horizon", "10"), 1),
+    (_cli("sweep", "--scenario", BASIC, "--param", "delta_r",
+          "--values", "0.25,0.21,0.17", "--at", "10"), 3),
+    # a tolerance wider than the bracket bisects nothing: one run per end
+    (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
+          "--p-max", "0.55", "--tol", "1", "--horizon", "20"), 2),
+    (_cli("phase", "--scenario", BASIC, "--k-range", "1:6",
+          "--e-range", "0.5:3", "--grid", "2x2", "--horizon", "5"), 4),
+    (_chaotic_scenario_built_in_code(), 1),
+], ids=["basic", "controlled", "chaotic", "chaos", "sweep", "tipping",
+        "phase", "chaotic-built-in-code"])
+def test_trace_sees_every_run(run, runs, capsys):
     # the trace counts runs through the integrate attributes it wraps; a run
     # that reaches the integrator another way would be missing from it
     tracing = _load_tracing()
@@ -65,12 +91,12 @@ def test_trace_sees_every_run(argv, capsys):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert cli.run(argv) == 0
+        assert run()
     finally:
         tracer.uninstall()
     tracing.assert_untraced()
     calls, _, steps = tracing.integrate_counts(tracer.spans)
-    assert calls == 1 and steps > 0
+    assert calls == runs and steps > 0
 
 
 def test_benchmark_selfcheck_passes(monkeypatch, tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capedu.chaos import running_average, simulate_modulated, simulate_ne9
+from capedu.errors import ValidationError
 from capedu.integrator import CHAOS_SETTINGS, integrate
 from capedu.model import EconState, ModelParams, basic_rhs
 
@@ -110,3 +111,27 @@ class TestModulated:
                                   horizon=20.0, sample_step=0.1)
         total = traj["C"] + traj["I_k"] + traj["I_r"]
         assert np.max(np.abs(total - traj["Y"]) / traj["Y"]) < 1e-12
+
+
+class TestChaosValuesMustBeFinite:
+    """simulate_ne9 and simulate_modulated check c, x0, y0, z0 and b as a
+    ChaosSpec does, before the run, instead of failing inside the step."""
+
+    @pytest.mark.parametrize("field", ["x0", "y0", "z0", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_ne9(self, field, value):
+        with pytest.raises(ValidationError) as info:
+            simulate_ne9(horizon=1.0, **{field: value})
+        assert str(info.value) == f"{field}: must be finite, got {value}"
+
+    @pytest.mark.parametrize("field", ["c", "x0", "y0", "z0", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_modulated(self, field, value):
+        values = {"c": 0.5, "x0": 0.5, "y0": 0.0, "z0": 0.0, "b": 0.55,
+                  field: value}
+        with pytest.raises(ValidationError) as info:
+            simulate_modulated(ModelParams(**FIG_CHAOS), values["c"],
+                               EconState(4.0, 1.0),
+                               (values["x0"], values["y0"], values["z0"]),
+                               values["b"], horizon=1.0)
+        assert str(info.value) == f"{field}: must be finite, got {value}"

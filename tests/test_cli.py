@@ -343,6 +343,37 @@ def test_tipping_p_out_of_range_is_exit_2(capsys):
     assert "error: p: need 0 < p < 1 - s_k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--p-min", "--p-max"])
+def test_tipping_nan_bracket_end_is_exit_2(flag, capsys):
+    # a NaN end used to fail the empty-bracket test and exit 3
+    argv = ["tipping", "--scenario", str(SCENARIO_DIR / "controlled_p047.json"),
+            "--p-min", "0.40", "--p-max", "0.55"]
+    argv[argv.index(flag) + 1] = "nan"
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: p: need 0 < p < 1 - s_k, got p=nan" in captured.err
+
+
+def test_tipping_reversed_bracket_stays_no_sign_change(capsys):
+    path = SCENARIO_DIR / "controlled_p047.json"
+    assert run(["tipping", "--scenario", str(path),
+                "--p-min", "0.5", "--p-max", "0.45"]) == 3
+    assert "error: empty bracket [0.5, 0.45]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--b", "b"), ("--x0", "x0"), ("--y0", "y0"), ("--z0", "z0")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_chaos_non_finite_flag_is_exit_2(flag, field, value, capsys):
+    # the rule a chaos block in a scenario file follows: exit 2, field named
+    assert run(["chaos", "--horizon", "1", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {field}: must be finite, got {float(value)}\n" == \
+        captured.err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_tipping_bad_tol_is_exit_2(tol, capsys):
     # a NaN tolerance used to end the bisection at once and print the

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,26 @@ class TestFindTipping:
     def test_degenerate_bracket(self, baseline_params, start_4_1):
         with pytest.raises(NoSignChange):
             find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.47, 0.47)
+
+    @pytest.mark.parametrize("p_low,p_high,bad", [
+        (math.nan, 0.55, "nan"), (0.40, math.nan, "nan"),
+        (0.0, 0.55, "0.0"), (0.40, 0.6, "0.6"), (0.5, 0.7, "0.7")])
+    def test_bracket_ends_must_be_targets(self, baseline_params, start_4_1,
+                                          p_low, p_high, bad):
+        # checked before the bracket: an empty one with a bad end is bad input
+        with pytest.raises(ValidationError) as info:
+            find_tipping(baseline_params, start_4_1, 0.1, 200.0, p_low,
+                         p_high)
+        assert str(info.value) == f"p: need 0 < p < 1 - s_k, got p={bad}"
+
+    def test_horizon_and_tol_are_checked_before_the_ends(self, baseline_params,
+                                                         start_4_1):
+        for horizon, tol, field in ((-1.0, 1e-3, "horizon"),
+                                    (200.0, math.nan, "tol")):
+            with pytest.raises(ValidationError) as info:
+                find_tipping(baseline_params, start_4_1, 0.1, horizon,
+                             math.nan, 0.55, tol)
+            assert info.value.field == field
 
 
 class TestLongRunOutcome:

@@ -423,12 +423,46 @@ class TestCodeBuiltScenario:
             ChaosSpec(c=0.5, y0=value)
         assert info.value.field == "y0"
 
-    def test_chaotic_without_integrator_takes_the_class_defaults(self):
-        base = load_scenario(json.dumps(minimal_doc()))
-        s = Scenario("chaotic", base.params, base.initial, 2.0, 0.5,
+    def test_chaotic_without_integrator_runs_as_its_document(self):
+        doc = minimal_doc(kind="chaotic", chaos={"c": 0.5}, horizon=2)
+        loaded = load_scenario(json.dumps(doc))
+        s = Scenario("chaotic", loaded.params, loaded.initial, 2.0, 0.5,
                      chaos=ChaosSpec(c=0.5))
-        assert s.integrator == IntegratorSettings()
+        assert s.integrator == CHAOS_SETTINGS
+        assert s == loaded
         assert load_scenario(dump_scenario(s)) == s
+        assert write_trajectory_csv(run_scenario(s)) == \
+            write_trajectory_csv(run_scenario(loaded))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(tuple(BLOCKS)),
+           given_tols=st.fixed_dictionaries({}, optional={
+               "rel_tol": number(1e-14, 1e-2), "abs_tol": number(1e-16, 1e-2)}))
+    def test_document_equals_the_scenario_built_in_code(self, kind,
+                                                        given_tols):
+        # a document's integrator block sets the keys it names and leaves
+        # the rest to the kind, as a Scenario built without one does
+        doc = minimal_doc(kind=kind, horizon=2)
+        kind_blocks = {"control": ControlSpec(p=0.47, s_r0=0.1),
+                       "chaos": ChaosSpec(c=0.5)}
+        blocks = {name: kind_blocks[name] for name in BLOCKS[kind]}
+        doc.update({name: vars(block) for name, block in blocks.items()})
+        if given_tols:
+            doc["integrator"] = given_tols
+        loaded = load_scenario(json.dumps(doc))
+        built = Scenario(kind, loaded.params, loaded.initial, 2.0, 0.5,
+                         **blocks)
+        built = replace(built, integrator=replace(built.integrator,
+                                                  **given_tols))
+        assert loaded == built
+        assert load_scenario(dump_scenario(built)) == built
+
+    @pytest.mark.parametrize("kind", [["chaotic"], {"a": 1}, 3, None])
+    def test_kind_that_is_not_a_str_is_refused_by_scenario(self, kind):
+        doc = minimal_doc(kind=kind, integrator={"rel_tol": 1e-9})
+        with pytest.raises(ValidationError) as info:
+            load_scenario(json.dumps(doc))
+        assert info.value.field == "kind"
 
 
 class TestRunScenario:
@@ -811,6 +845,46 @@ class TestRenderSvg:
             render_svg([])
         with pytest.raises(EmptySeries):
             render_svg([("x", np.array([]), np.array([]))])
+
+    @pytest.mark.parametrize("series", [
+        [("a", [0.0, 1.0], [1.0, math.nan])],
+        [("a", [0.0, math.inf], [1.0, 2.0])],
+        [("a", [0.0, 1.0], [-math.inf, 2.0])],
+        [("a", [0.0, 1.0], [-1e308, 1e308])],
+        [("b", [0.0, 1.0], [1.0, 2.0]), ("a", [0.0, 1.0], [math.nan, 2.0])],
+        [("b", [0.0, 1.0], [-1e308, 2.0]), ("a", [0.0, 1.0], [1e308, 2.0])],
+    ], ids=["nan", "inf-time", "minus-inf", "span-overflows",
+            "nan-in-a-later-series", "span-of-two-series-overflows"])
+    def test_non_finite_data_is_refused_naming_the_series(self, series):
+        with pytest.raises(ValidationError) as info:
+            render_svg([(label, np.array(t), np.array(v))
+                        for label, t, v in series])
+        assert info.value.field == "a"
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 999.99, 999.995, 1e3, 1e17, -1e308,
+        np.finfo(float).max, -np.finfo(float).max, 5e-324])
+    @pytest.mark.parametrize("size", [3, _FIXED2_MIN_POINTS])
+    def test_any_finite_data_maps_into_the_plot(self, value, size):
+        # every coordinate lies in [40, 780], so a long polyline always
+        # takes the numpy formatter and never its fallback
+        t = np.linspace(0.0, 1.0, size)
+        constant, mixed = np.full(size, value), np.resize([1.0, 2.0, value],
+                                                          size)
+        for series in ([("a", t, constant)], [("a", constant, t)],
+                       [("a", t, mixed), ("b", mixed, t)]):
+            with mock.patch.object(scenario_io, "_points",
+                                   wraps=scenario_io._points) as points, \
+                    mock.patch.object(scenario_io, "_fixed2",
+                                      wraps=scenario_io._fixed2) as fixed2:
+                svg = render_svg(series)
+            assert fixed2.call_count == (
+                len(series) if size >= _FIXED2_MIN_POINTS else 0)
+            for (x, y), _ in points.call_args_list:
+                xy = np.concatenate([x, y])
+                assert 40 <= xy.min() and xy.max() <= 780
+                assert scenario_io._points(x, y) == reference_points(x, y)
+            assert "nan" not in svg and "inf" not in svg
 
 
 def reference_points(x, y):
