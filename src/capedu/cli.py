@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report time for Y and C")
 
     p = add_parser("tipping",
-                   help="bisect for the consumption target where "
+                   help="find the consumption target where "
                         "horizon output returns to its initial value")
     scenario_flag(p)
     p.add_argument("--p-min", type=float, required=True)

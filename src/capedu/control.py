@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,15 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
                  horizon: float, p_low: float, p_high: float,
                  tol: float = 1e-3,
                  settings: IntegratorSettings | None = None) -> TippingResult:
-    """Bisect on p for the target where output at the horizon returns to Y(0).
+    """Find the target p where output at the horizon returns to Y(0).
 
-    The objective is dY(p) = Y(horizon; p) - Y(0); the bracket must straddle
-    a sign change, otherwise NoSignChange is raised.  horizon, checked first,
-    and tol must be finite and positive: a NaN tol would end the bisection.
-    Then both ends must pass check_target, before the bracket is tested.
+    dY(p) = Y(horizon; p) - Y(0) must change sign over the bracket, else
+    NoSignChange.  horizon, then tol (a NaN tol would end the search) must be
+    finite and positive, then both ends must pass check_target.  The search
+    is ITP (Oliveira & Takahashi 2021) with kappa1 = 0.2 / W for a bracket W
+    wide, kappa2 = 2 and n0 = 0: at most bisection's 2 + ceil(log2(W / tol))
+    runs, fewer on a smooth dY.  It stops once the bracket is at most tol
+    wide or holds no double; p_star is the midpoint of the final bracket.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
@@ -84,17 +88,26 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
             f"growth has the same sign at both ends: {g_low:.4g}, {g_high:.4g}")
 
     lo, hi, g_lo, g_hi = p_low, p_high, g_low, g_high
+    n = math.ceil(math.log2(hi - lo) - math.log2(tol))  # W / tol may overflow
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        g_mid = growth(mid)
-        if g_mid == 0.0:
-            lo = hi = mid
-            g_lo = g_hi = g_mid
+        if not lo < mid < hi:
+            break  # adjacent doubles: a tol below their spacing ends here
+        x = lo + (hi - lo) * g_lo / (g_lo - g_hi)  # interpolate
+        delta = 0.2 / (p_high - p_low) * (hi - lo) ** 2  # truncate
+        x = mid if delta > abs(mid - x) else x + math.copysign(delta, mid - x)
+        radius = math.ldexp(tol, n - 1) - 0.5 * (hi - lo)  # 2.0**n overflows
+        x = min(max(x, mid - radius), mid + radius)  # project
+        x = x if lo < x < hi else mid
+        g_x, n = growth(x), n - 1
+        if g_x == 0.0:
+            lo = hi = x
+            g_lo = g_hi = g_x
             break
-        if np.sign(g_mid) == np.sign(g_lo):
-            lo, g_lo = mid, g_mid
+        if np.sign(g_x) == np.sign(g_lo):
+            lo, g_lo = x, g_x
         else:
-            hi, g_hi = mid, g_mid
+            hi, g_hi = x, g_x
     return TippingResult(p_star=0.5 * (lo + hi), bracket=(lo, hi),
                          growth_at_bracket=(g_lo, g_hi), horizon_used=horizon)
 

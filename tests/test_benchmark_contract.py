@@ -75,14 +75,17 @@ CONTROLLED = str(SCENARIOS / "controlled_p047.json")
     (_cli("chaos", "--horizon", "10"), 1),
     (_cli("sweep", "--scenario", BASIC, "--param", "delta_r",
           "--values", "0.25,0.21,0.17", "--at", "10"), 3),
-    # a tolerance wider than the bracket bisects nothing: one run per end
+    # a tolerance wider than the bracket searches nothing: one run per end
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "1", "--horizon", "20"), 2),
+    # criterion 6's search: 6 runs, where bisection made 10
+    (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
+          "--p-max", "0.55", "--tol", "1e-3"), 6),
     (_cli("phase", "--scenario", BASIC, "--k-range", "1:6",
           "--e-range", "0.5:3", "--grid", "2x2", "--horizon", "5"), 4),
     (_chaotic_scenario_built_in_code(), 1),
 ], ids=["basic", "controlled", "chaotic", "chaos", "sweep", "tipping",
-        "phase", "chaotic-built-in-code"])
+        "tipping-crit6", "phase", "chaotic-built-in-code"])
 def test_trace_sees_every_run(run, runs, capsys):
     # the trace counts runs through the integrate attributes it wraps; a run
     # that reaches the integrator another way would be missing from it

@@ -376,7 +376,7 @@ def test_chaos_non_finite_flag_is_exit_2(flag, field, value, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_tipping_bad_tol_is_exit_2(tol, capsys):
-    # a NaN tolerance used to end the bisection at once and print the
+    # a NaN tolerance used to end the search at once and print the
     # midpoint of the input bracket
     path = SCENARIO_DIR / "controlled_p047.json"
     assert run(["tipping", "--scenario", str(path), "--p-min", "0.40",

@@ -1,11 +1,67 @@
+import contextlib
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from capedu import cli, control
+from capedu.analysis import controlled_equilibrium
 from capedu.control import find_tipping, long_run_outcome, simulate_controlled
 from capedu.errors import NoSignChange, ValidationError
 from capedu.model import EconState, ModelParams, production
+
+from test_oracles import closed_form_tipping_root
+
+CONTROLLED = str(Path(__file__).resolve().parent.parent / "scenarios"
+                 / "controlled_p047.json")
+
+
+@contextlib.contextmanager
+def counted_runs(limit: int):
+    """Count the controlled runs made through the module attribute, as the
+    benchmark's tracer does; the run after limit fails instead of hanging."""
+    runs = []
+    real = control.simulate_controlled
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        assert len(runs) <= limit, f"more than {limit} runs"
+        return real(*args, **kwargs)
+
+    with mock.patch.object(control, "simulate_controlled", counting):
+        yield runs
+
+
+def bisection_runs(width: float, tol: float) -> int:
+    """Bisection's worst case: one run per end, then one per halving."""
+    return 2 + max(0, math.ceil(math.log2(width / tol)))
+
+
+@st.composite
+def tipping_draws(draw):
+    """Parameters, start and a bracket 0.15 wide around the closed-form root,
+    drawn as the benchmark draws its tipping searches.  The benchmark redraws
+    until T = 200 converges at both ends and at the root (|Re| of the slowest
+    eigenvalue times T at least 20); here T grows until it does."""
+    params = ModelParams(
+        s_k=draw(st.floats(0.25, 0.45)), s_r=draw(st.floats(0.08, 0.2)),
+        delta_k=draw(st.floats(0.12, 0.3)), delta_r=draw(st.floats(0.12, 0.3)),
+        alpha=draw(st.floats(0.15, 0.3)), beta=draw(st.floats(0.25, 0.4)))
+    start = EconState(draw(st.floats(1.0, 5.0)), draw(st.floats(0.5, 2.0)))
+    root = closed_form_tipping_root(params, production(params, start))
+    # lo = root - 0.15 u with u in [0.2, 0.8], 0.2 <= lo, hi <= 0.97 - s_k
+    u_min = max(0.2, 1.0 - (0.97 - params.s_k - root) / 0.15)
+    u_max = min(0.8, (root - 0.2) / 0.15)
+    assume(u_min <= u_max)
+    lo = root - 0.15 * draw(st.floats(u_min, u_max))
+    hi = lo + 0.15
+    rate = min(-max(e.real for e in controlled_equilibrium(params, q)
+                    .eigenvalues) for q in (lo, root, hi))
+    return params, start, max(200.0, 20.0 / rate), lo, hi
 
 
 class TestSimulateControlled:
@@ -64,6 +120,66 @@ class TestFindTipping:
         g_lo, g_hi = result.growth_at_bracket
         assert g_lo * g_hi < 0
         assert result.horizon_used == 200.0
+
+    def test_crit_6_search_makes_six_runs(self, baseline_params, start_4_1):
+        # bisection makes 2 + ceil(log2(0.15 / 1e-3)) = 10
+        with counted_runs(6) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=1e-3)
+        assert len(runs) == 6
+        assert result.bracket[1] - result.bracket[0] <= 1e-3
+
+    @pytest.mark.parametrize("tol", [1e-17, 5e-324])
+    def test_tol_below_the_spacing_of_doubles_ends(self, baseline_params,
+                                                  start_4_1, tol, capsys):
+        # no double lies inside a bracket of two adjacent ones, so the search
+        # ends there; bisection would reach them in about 2 + 52 runs
+        with counted_runs(2 + 60):
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=tol)
+        lo, hi = result.bracket
+        assert math.nextafter(lo, hi) == hi
+        assert result.p_star in (lo, hi)
+        with counted_runs(2 + 60):
+            assert cli.run(["tipping", "--scenario", CONTROLLED,
+                            "--p-min", "0.40", "--p-max", "0.55",
+                            "--tol", repr(tol)]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"p_star={result.p_star:.6g}\n")
+
+    @settings(max_examples=20, deadline=None)
+    @given(draws=tipping_draws(), tol=st.sampled_from([1e-17, 5e-324]))
+    # a regula falsi point that rounds onto an end is moved to the midpoint;
+    # run as it is, this draw ran its lower end again about 1,000 times
+    @example(draws=(ModelParams(s_k=0.33995888580571937, s_r=0.1677448987432047,
+                                delta_k=0.15369449665463752,
+                                delta_r=0.2816261437270907,
+                                alpha=0.2759603707326783,
+                                beta=0.38688754135804604),
+                    EconState(K=4.805571184407254, E=1.6744923197825576),
+                    323.9975316320253, 0.3726689977502231,
+                    0.5226689977502231), tol=5e-324)
+    def test_every_draw_ends_at_adjacent_doubles(self, draws, tol):
+        params, start, horizon, p_low, p_high = draws
+        with counted_runs(2 + 60):
+            result = find_tipping(params, start, 0.1, horizon, p_low, p_high,
+                                  tol=tol)
+        lo, hi = result.bracket
+        assert math.nextafter(lo, hi) == hi
+
+    @settings(max_examples=30, deadline=None)
+    @given(draws=tipping_draws(), tol=st.floats(1e-6, 0.2))
+    def test_search_keeps_bisections_contract(self, draws, tol):
+        params, start, horizon, p_low, p_high = draws
+        bound = bisection_runs(p_high - p_low, tol)
+        with counted_runs(bound):
+            result = find_tipping(params, start, 0.1, horizon, p_low, p_high,
+                                  tol=tol)
+        lo, hi = result.bracket
+        assert p_low <= lo < hi <= p_high and hi - lo <= tol
+        g_lo, g_hi = result.growth_at_bracket
+        assert g_lo * g_hi < 0
+        assert result.p_star == 0.5 * (lo + hi)
 
     def test_no_sign_change_when_both_grow(self, baseline_params, start_4_1):
         with pytest.raises(NoSignChange):
