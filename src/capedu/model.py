@@ -90,8 +90,8 @@ _INF = float("inf")
 
 def _require_positive(K, E):
     # fractional powers are undefined at non-positive bases; the economy
-    # model is meaningless there.  Scalars only: this runs on every RHS
-    # call, and NaN fails every comparison, so the fast test misses no case.
+    # model is meaningless there.  Scalars only: the guard line runs this
+    # test inline, and NaN fails every comparison, so it misses no case.
     if 0.0 < K < _INF and 0.0 < E < _INF:
         return
     if not (math.isfinite(K) and math.isfinite(E)):
@@ -103,8 +103,8 @@ def _require_positive(K, E):
 # their Y line, and output() is compiled from it for floats and arrays alike
 _OUTPUT = "E ** alpha * K ** beta"
 
-# the functions a System's lines may call
-_NAMES = {"_require_positive": _require_positive}
+# the names a System's lines may use
+_NAMES = {"_require_positive": _require_positive, "_INF": _INF}
 
 
 def _compiled(name: str, lines: list[str]) -> dict:
@@ -139,11 +139,11 @@ class System:
     """One vector field, declared once as source text: the names of its
     states and of the constants bound per run (ModelParams fields by their
     names), the lines each evaluation runs first (the domain guard and Y,
-    calling only functions in names) and one expression per derivative.
+    using only the names in names) and one expression per derivative.
 
     bind() compiles the array form once per system, and integrate inlines
-    the same text into its step.  Names must differ from the step's own
-    (see integrator._step_source).
+    the same text at each stage of its generated march.  Names must differ
+    from the march's own (see integrator._step_source).
     """
 
     name: str
@@ -182,7 +182,8 @@ class System:
 BASIC = System(
     "basic", states=("K", "E"),
     constants=("s_k", "s_r", "delta_k", "delta_r", "alpha", "beta"),
-    lines=("_require_positive(K, E)", f"Y = {_OUTPUT}"),
+    lines=("if not (0.0 < K < _INF and 0.0 < E < _INF): "
+           "_require_positive(K, E)", f"Y = {_OUTPUT}"),
     derivatives=("s_k * Y - delta_k * K", "s_r * Y - delta_r * E"))
 
 NE9 = System(

@@ -446,10 +446,18 @@ PHASE = ["phase", "--scenario", str(SCENARIO_DIR / "basic_baseline.json"),
      "abs_tol: must be finite and positive, got 0.0"),
     (["chaos", "--horizon", "10", "--sample-step", "0"],
      "sample_step: must be finite and positive, got 0.0"),
+    # each sample takes a step, so these runs could never finish
+    (["chaos", "--horizon", "100", "--sample-step", "1e-300"],
+     "sample_step: 1e-300 gives 1e+302 samples, more than the step budget "
+     "of 10000000"),
+    (["chaos", "--horizon", "100", "--sample-step", "1e-6"],
+     "sample_step: 1e-06 gives 1e+08 samples, more than the step budget "
+     "of 10000000"),
     (PHASE + ["--grid", "1x2", "--horizon", "5"],
      "grid: must be at least 2x2, got 1x2"),
 ], ids=["tipping-horizon", "chaos-rel-tol", "chaos-abs-tol",
-        "chaos-sample-step", "phase-grid"])
+        "chaos-sample-step", "chaos-tiny-sample-step",
+        "chaos-sample-step-beyond-budget", "phase-grid"])
 def test_bad_run_flag_is_exit_2(argv, message, capsys):
     # the same rule as a bad value in a scenario file: exit 2, field named
     assert run(argv) == 2

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capedu import integrator
-from capedu.errors import DomainError, NonFiniteState, StepLimitExceeded
+from capedu.errors import (
+    DomainError, NonFiniteState, StepLimitExceeded, ValidationError,
+)
 from capedu.integrator import (
     _A, _B, _E, _INITIAL_STEP, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY,
     CHAOS_SETTINGS, DEFAULT_SETTINGS, IntegratorSettings, _sample_grid,
@@ -80,6 +82,31 @@ def test_step_limit_exceeded(monkeypatch):
     monkeypatch.setattr(integrator, "_MAX_STEPS", 3)
     with pytest.raises(StepLimitExceeded, match="max_steps=3 reached"):
         integrate(decay, [1.0], 0.0, 100.0, sample_step=100.0)
+
+
+@pytest.mark.parametrize("sample_step,samples", [
+    (1e-300, "1e+302"), (1e-6, "1e+08"),
+])
+def test_sample_grid_beyond_the_step_budget_is_refused(sample_step, samples,
+                                                       monkeypatch):
+    # each sample takes at least one step, so the run could never finish;
+    # it is refused before its grid is allocated
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(ValidationError) as info:
+        integrate(decay, [1.0], 0.0, 100.0, sample_step=sample_step)
+    assert str(info.value) == (f"sample_step: {sample_step!r} gives {samples} "
+                               f"samples, more than the step budget of "
+                               f"10000000")
+
+
+def test_sample_grid_at_the_step_budget_is_allocated(monkeypatch):
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 3)
+    assert len(_sample_grid(0.0, 0.75, 0.25)) == 4  # 3 samples, 3 steps
+    with pytest.raises(ValidationError, match="gives 4 samples"):
+        _sample_grid(0.0, 1.0, 0.25)
 
 
 def test_step_size_floor_stops_a_field_no_step_can_follow():
@@ -269,10 +296,12 @@ def weighted_sum(weights, k, i):
     return total
 
 
-def reference_integrate(field, y0, t0, t1, settings, sample_step):
+def reference_integrate(field, y0, t0, t1, settings, sample_step,
+                        rejected=None):
     """The step loop written once over the rows of _A, _B and _E in Python
     floats, summing in tableau order: the oracle for the bits of
-    integrate's unrolled stages.  Same controller and landing rule."""
+    integrate's generated march.  Same controller and landing rule.  The
+    start time of each rejected step is appended to rejected, if given."""
     y = [float(v) for v in y0]
     dim = range(len(y))
     grid = _sample_grid(t0, t1, sample_step)
@@ -301,6 +330,8 @@ def reference_integrate(field, y0, t0, t1, settings, sample_step):
             else:
                 k[6] = k[0]
                 h = h * max(_MIN_FACTOR, _SAFETY * err ** -_ORDER_EXP)
+                if rejected is not None:
+                    rejected.append(t)
         t = t_target
         out.append(y)
     return grid, np.array(out)
@@ -348,6 +379,31 @@ def test_same_steps_as_blas_loop(field, y0, t1, run_settings, sample_step):
     # for the flow's growth over T = 20 (measured: at most 1.3e-14).
     bound = 1e-12 * np.maximum(1.0, np.abs(states))
     assert np.all(np.abs(raw.states - states) <= bound)
+
+
+# free-stepped to the endpoint, where the controller rejects steps: ne9
+# over T = 100 and the modulated system over T = 200, with their attempted
+# and rejected steps
+REJECTING_RUNS = {
+    "ne9": (ne9_rhs(), [0.5, 0.0, 0.0], 100.0, 3_602, 40),
+    "modulated": (modulated_rhs(BASELINE, 0.5), [4.0, 1.0, 0.5, 0.0, 0.0],
+                  200.0, 7_272, 92),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTING_RUNS))
+def test_same_bits_as_reference_loop_through_rejected_steps(name):
+    field, y0, t1, attempts, rejections = REJECTING_RUNS[name]
+    args = (y0, 0.0, t1, CHAOS_SETTINGS, t1)
+    calls, raw = rhs_calls(integrate, field, *args)
+    rejected = []
+    times, states = reference_integrate(field, *args, rejected=rejected)
+    assert calls == 1 + 6 * attempts
+    assert len(rejected) == rejections  # the reject branch ran
+    assert np.array_equal(raw.times, times)
+    assert np.array_equal(raw.states, states)
+    # the march's own inlined path takes the same steps
+    assert np.array_equal(integrate(field, *args).states, states)
 
 
 def test_list_and_ndarray_fields_give_the_same_bits():

@@ -12,11 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from capedu.analysis import controlled_equilibrium, eigen_basic, equilibrium
+from capedu.analysis import (
+    controlled_equilibrium, eigen_basic, equilibrium, jacobian_basic,
+)
 from capedu.control import find_tipping, simulate_controlled
 from capedu.integrator import integrate
 from capedu.model import (
-    CONTROLLED, EconState, ModelParams, basic_rhs, production,
+    BASIC, CONTROLLED, MODULATED, EconState, ModelParams, basic_rhs,
+    production,
 )
 
 from conftest import BASELINE
@@ -140,8 +143,11 @@ def parsed_system(system, sympy):
     args = states + [names[n] for n in system.constants]
     for line in system.lines:
         name, assigns, expr = line.partition(" = ")
-        if assigns:  # the other lines are the domain guard's call
+        if assigns:
             names[name] = sympy.parse_expr(expr, local_dict=names)
+        else:  # the domain guard assigns nothing
+            assert line.startswith("if not (") and line.endswith(
+                "): _require_positive(K, E)")
     field = sympy.Matrix([sympy.parse_expr(d, local_dict=names)
                           for d in system.derivatives])
     return (sympy.lambdify(args, field, "numpy"),
@@ -169,3 +175,27 @@ def test_declared_controlled_system_matches_the_closed_forms(params,
     np.testing.assert_allclose(np.asarray(jacobian(*args), dtype=float),
                                expected, rtol=1e-12,
                                atol=1e-12 * np.abs(expected).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=stable_params(), c=st.floats(-1.0, 1.0), b=st.floats(0.0, 1.0),
+       driver=st.tuples(offsets, offsets))
+def test_declared_basic_and_modulated_systems_match_the_closed_forms(
+        params, c, b, driver):
+    # equilibrium and jacobian_basic are written by hand apart from the text
+    # the runs integrate; this ties the two.  With the driver at x = 0 the
+    # modulated (K, E) equations are the basic ones, whatever y and z are.
+    sympy = pytest.importorskip("sympy")
+    K0, E0 = equilibrium(params)
+    expected = jacobian_basic(params)
+    values = {name: getattr(params, name) for name in BASIC.constants}
+    values.update(K=K0, E=E0, x=0.0, y=driver[0], z=driver[1], c=c, b=b)
+    for system in (BASIC, MODULATED):
+        field, jacobian = parsed_system(system, sympy)
+        args = [values[n] for n in system.states + system.constants]
+        dK, dE = np.asarray(field(*args), dtype=float).ravel()[:2]
+        assert abs(dK) <= 1e-12 * params.delta_k * K0
+        assert abs(dE) <= 1e-12 * params.delta_r * E0
+        np.testing.assert_allclose(
+            np.asarray(jacobian(*args), dtype=float)[:2, :2], expected,
+            rtol=1e-12, atol=1e-12 * np.abs(expected).max())
