@@ -79,19 +79,18 @@ def _terms(weights: Sequence[float], i: int) -> str:
                       for j, w in enumerate(weights, 1) if w)
 
 
-# The march around the generated stages.  The controller compares where
-# min/max would be called, with the same results.  A rejected step (err > 1,
-# or NaN) has a factor of at most 0.9, or NaN: the _MAX_FACTOR clamp leaves
-# it, and the _MIN_FACTOR one turns NaN into _MIN_FACTOR.
+# The march around the generated stages.  Its controller, with the module's
+# constants written in, compares where min/max would be called, with the
+# same results.  A rejected step (err > 1, or NaN) has a factor of at most
+# 0.9, or NaN: the upper clamp leaves it, the lower turns NaN to _MIN_FACTOR.
 _MARCH = """\
-def march(k, t, h, targets, out, max_steps, h_floor, rtol, atol, {consts}):
+def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}):
     {y}, = out[:{n}]
     j = {n}
     steps = 0
     try:
         {k1}, = k
-        for t_target in targets:
-            stop = t_target - 1e-14 * max(1.0, abs(t_target))
+        for t_target, stop in zip(targets, stops):
             while t < stop:
                 if steps >= max_steps:
                     raise StepLimitExceeded(
@@ -99,9 +98,9 @@ def march(k, t, h, targets, out, max_steps, h_floor, rtol, atol, {consts}):
                 steps += 1
                 if t_target - t < h: h = t_target - t
 {step}
-                factor = _SAFETY * err ** -_ORDER_EXP if err else _MAX_FACTOR
-                if factor > _MAX_FACTOR: factor = _MAX_FACTOR
-                h_new = h * (factor if factor > _MIN_FACTOR else _MIN_FACTOR)
+                factor = {safety!r} * err ** {exp!r} if err else {hi!r}
+                if factor > {hi!r}: factor = {hi!r}
+                h_new = h * (factor if factor > {lo!r} else {lo!r})
                 if err <= 1.0:
                     t = t + h
                     {accept}
@@ -126,15 +125,15 @@ def march(k, t, h, targets, out, max_steps, h_floor, rtol, atol, {consts}):
 def _step_source(n: int, system=None) -> str:
     """Source of the DOPRI5 march on a state of n components.
 
-    march(k, t, h, targets, out, max_steps, h_floor, rtol, atol, *constants)
-    steps from the state in row 0 of out, a flat view of the states, with k
-    its first stage, onto each time in targets, and writes rows 1, 2, ...
-    Each step writes the stage inputs, the 5th-order solution ynI and the
-    error terms eI as scalar expressions read off _A, _B and _E.  A model
-    System's lines and derivatives run inline at each stage; otherwise the
-    one constant is field, called on an ndarray.  The march's own names,
-    which a System's may not be, are those in _MARCH, this module's, array,
-    finite and the numbered yI, ynI, eI and kS_I.
+    march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol,
+    *constants) steps from row 0 of out, a flat view of the states, with k
+    its first stage, and writes rows 1, 2, ... at each target once t passes
+    its stop.  A step writes the stage inputs, the 5th-order solution ynI and
+    the error terms eI read off _A, _B and _E, and a healthy one calls only
+    the field: a System's lines and derivatives run inline, and otherwise the
+    one constant field is called on an ndarray.  The march's own names, which
+    a System's may not be, are those in _MARCH, this module's, array, finite,
+    total and the numbered yI, ynI, eI and kS_I.
     """
     dim = range(n)
 
@@ -157,24 +156,26 @@ def _step_source(n: int, system=None) -> str:
     step += [f"yn{i} = y{i} + h * ({_terms(_B, i)})" for i in dim]
     # FSAL: the last row of _A is _B, so the last stage is taken at y_new
     step += evaluate(7, [f"yn{i}" for i in dim])
-    values = [f"yn{i}" for i in dim] + [f"k{s}_{i}" for s in range(1, 8)
-                                        for i in dim]
+    # yn is not finite if a stage _B weighs (all but k2 and k7) is not
+    values = [f"{v}{i}" for v in ("yn", "k2_", "k7_") for i in dim]
     where = f"_where(t, h, ({names('y')},))"
     step += [
         # a sum of finite values is finite unless it overflows, and then
         # each value is tested; before err, as a comparison passes a NaN
-        f"if not finite({' + '.join(values)}) and not all(map("
-        f"finite, ({', '.join(values)}))):",
+        f"total = {' + '.join(values)}",  # total - total: NaN, or 0.0 if finite
+        f"if total - total and not all(map(finite, ({', '.join(values)}))):",
         f"    raise NonFiniteState('non-finite state in the step (%s)' "
         f"% {where})",
-        *(f"e{i} = abs(h * ({_terms(_E, i)})) / (atol + rtol * abs(yn{i}))"
-          for i in dim),
+        *(f"e{i} = h * ({_terms(_E, i)})" for i in dim),  # abs: a sign test
+        *(f"e{i} = (e{i} if e{i} >= 0.0 else -e{i}) / "  # -0.0 acts as 0.0
+          f"(atol + rtol * (yn{i} if yn{i} >= 0.0 else -yn{i}))" for i in dim),
         "err = e0",  # max(e0, e1, ...): the first largest, in order
         *(f"if e{i} > err: err = e{i}" for i in dim[1:]),
     ]
     return _MARCH.format(
         consts="field" if system is None else ", ".join(system.constants),
-        y=names("y"), k1=names("k1_"), n=n, where=where,
+        y=names("y"), k1=names("k1_"), n=n, where=where, safety=_SAFETY,
+        exp=-_ORDER_EXP, lo=_MIN_FACTOR, hi=_MAX_FACTOR,
         step="\n".join(" " * 16 + line for line in step),
         accept="; ".join(f"y{i} = yn{i}" for i in dim),
         fsal="; ".join(f"k1_{i} = k7_{i}" for i in dim),  # the next k1
@@ -205,10 +206,12 @@ def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:
                               f"samples, more than the step budget of "
                               f"{_MAX_STEPS}")
     grid = t0 + sample_step * np.arange(int(n) + 1)
-    if grid[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-        grid = np.append(grid, t1)
-    else:
+    if n and grid[-1] >= t1 - 1e-12 * max(1.0, abs(t1)):
         grid[-1] = t1
+    else:  # t0 stays, however close to t1
+        grid = np.append(grid, t1)
+    if not (grid[1:] > grid[:-1]).all():  # a step below the spacing of doubles
+        grid = np.unique(np.minimum(grid, t1))
     return grid
 
 
@@ -239,7 +242,7 @@ def integrate(
     floats in tableau order, so a rerun gives the same bits on any BLAS
     build.
 
-    The final time t1 is always included in the output grid.  Raises
+    The output grid always starts at t0 and ends at t1.  Raises
     StepLimitExceeded when the step budget runs out or a rejected step would
     shrink h below 16 * 2**-52 * max(|t0|, |t1|), and NonFiniteState when
     the solution leaves the finite domain; a DomainError raised by the field
@@ -275,8 +278,9 @@ def integrate(
     system = getattr(field, "system", None)
     states = np.empty((len(grid), start.size))
     states[0] = start
+    stops = grid[1:] - 1e-14 * np.maximum(1.0, np.abs(grid[1:]))
     _step_for(start.size, system)(
-        k, t0, _INITIAL_STEP, grid.tolist()[1:], memoryview(states.ravel()),
-        _MAX_STEPS, h_floor, settings.rel_tol, settings.abs_tol,
-        *(field.constants if system is not None else (field,)))
+        k, t0, _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
+        memoryview(states.ravel()), _MAX_STEPS, h_floor, settings.rel_tol,
+        settings.abs_tol, *(field.constants if system is not None else (field,)))
     return RawTrajectory(times=grid, states=states)

@@ -526,3 +526,33 @@ def test_out_onto_directory_names_the_path(tmp_path, capsys):
         capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [target]  # no temp file left behind
     assert list(target.iterdir()) == []
+
+
+@pytest.fixture
+def tiny_horizon_scenario(basic_scenario):
+    # a horizon shorter than the sample step and within 1e-12 of t = 0
+    doc = json.loads(basic_scenario.read_text())
+    doc["horizon"] = 1e-13
+    basic_scenario.write_text(json.dumps(doc))
+    return basic_scenario
+
+
+def test_simulate_tiny_horizon_keeps_t0(tiny_horizon_scenario, capsys):
+    assert run(["simulate", "--scenario", str(tiny_horizon_scenario)]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1e-13]
+    assert rows[0].startswith("0.0,4.0,1.0,")  # the initial state at t0
+
+
+def test_sweep_at_tiny_horizon(tiny_horizon_scenario, capsys):
+    assert run(["sweep", "--scenario", str(tiny_horizon_scenario),
+                "--param", "s_r", "--values", "0.1,0.2", "--at", "1e-13"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "value,Y,C,error"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.1", "0.2"]
+    assert all(line.endswith(",") for line in lines[1:])  # no error column
+
+
+def test_chaos_tiny_horizon(capsys):
+    assert run(["chaos", "--horizon", "1e-13"]) == 0
+    assert capsys.readouterr().out == "A(1e-13)=0.5\n"  # x stays at x0 = 0.5

@@ -1,9 +1,11 @@
+import ast
 import builtins
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capedu import integrator
@@ -107,6 +109,30 @@ def test_sample_grid_at_the_step_budget_is_allocated(monkeypatch):
     assert len(_sample_grid(0.0, 0.75, 0.25)) == 4  # 3 samples, 3 steps
     with pytest.raises(ValidationError, match="gives 4 samples"):
         _sample_grid(0.0, 1.0, 0.25)
+
+
+def test_run_shorter_than_its_sample_step_keeps_t0():
+    # t1 lies within 1e-12 * max(1, |t1|) of t0: the only grid point, t0,
+    # once gave way to t1
+    t0, t1 = 1e6, 1e6 + 1e-7
+    raw = integrate(decay, [1.0], t0, t1, sample_step=0.1)
+    assert raw.times.tolist() == [t0, t1]
+    assert raw.states[0, 0] == 1.0
+    assert abs(raw.states[1, 0] - math.exp(t0 - t1)) < 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(t0=st.floats(-1e3, 1e3), exponent=st.floats(-15.0, 3.0),
+       samples=st.floats(1e-3, 1e4))
+def test_sample_grid_runs_from_t0_to_t1(t0, exponent, samples):
+    # sample steps from 1,000 horizons to 1e-4 of one, all within the step
+    # budget; a step below the spacing of doubles near t0 merges samples
+    t1 = t0 + 10.0 ** exponent
+    assume(t1 > t0)
+    grid = _sample_grid(t0, t1, (t1 - t0) / samples)
+    assert grid[0] == t0 and grid[-1] == t1
+    assert len(grid) >= 2
+    assert np.all(grid[1:] > grid[:-1])
 
 
 def test_step_size_floor_stops_a_field_no_step_can_follow():
@@ -337,9 +363,9 @@ def reference_integrate(field, y0, t0, t1, settings, sample_step,
     return grid, np.array(out)
 
 
-def assert_same_bits(field, y0, t1, settings, sample_step):
-    raw = integrate(field, y0, 0.0, t1, settings, sample_step)
-    times, states = reference_integrate(field, y0, 0.0, t1, settings,
+def assert_same_bits(field, y0, t1, settings, sample_step, t0=0.0):
+    raw = integrate(field, y0, t0, t1, settings, sample_step)
+    times, states = reference_integrate(field, y0, t0, t1, settings,
                                         sample_step)
     assert np.array_equal(raw.times, times)
     assert np.array_equal(raw.states, states)
@@ -379,6 +405,114 @@ def test_same_steps_as_blas_loop(field, y0, t1, run_settings, sample_step):
     # for the flow's growth over T = 20 (measured: at most 1.3e-14).
     bound = 1e-12 * np.maximum(1.0, np.abs(states))
     assert np.all(np.abs(raw.states - states) <= bound)
+
+
+@pytest.mark.parametrize("t0", [-50.0, 1e6])
+@pytest.mark.parametrize("field,y0,horizon,run_settings,sample_step", [
+    (decay, [1.0], 60.0, DEFAULT_SETTINGS, 0.1),
+    (basic_rhs(BASELINE), [4.0, 1.0], 100.0, DEFAULT_SETTINGS, 1.0),
+    (ne9_rhs(), [0.5, 0.0, 0.0], 60.0, CHAOS_SETTINGS, 0.05),
+], ids=["decay", "basic", "ne9"])
+def test_same_bits_as_reference_loop_from_any_start(field, y0, horizon,
+                                                    run_settings, sample_step,
+                                                    t0):
+    # from t0 = -50 the grid crosses |t| = 1, where each sample's landing
+    # tolerance 1e-14 * max(1, |t|) changes form; at 1e6 it is 1e-8
+    assert_same_bits(field, y0, t0 + horizon, run_settings, sample_step,
+                     t0=t0)
+
+
+def signed_zero_field():
+    """A field whose stages 1, 4 and 6, the ones _E weighs positively,
+    return -0.0 and the others 0.0 in component 0, and -0.0 in component
+    1; stages count from its first call, the FSAL seed."""
+    calls = 0
+
+    def field(v):
+        nonlocal calls
+        calls += 1
+        stage = (calls - 2) % 6 + 2 if calls > 1 else 1
+        return [-0.0 if stage in (1, 4, 6) else 0.0, -0.0]
+
+    return field
+
+
+def test_signed_zero_error_takes_the_same_steps_and_bits():
+    # abs is a sign test in the march, so an error term of -0.0 stays -0.0
+    # where the reference's abs gives 0.0; the controller must treat both
+    # as 0.  Every term of the first step's error sum in component 0 is
+    # -0.0, and so is the sum.
+    stages = [[-0.0 if s in (1, 4, 6) else 0.0] for s in range(1, 8)]
+    assert math.copysign(1.0, weighted_sum(_E, stages, 0)) == -1.0
+    args = ([1.0, -0.0], 0.0, 10.0, DEFAULT_SETTINGS, 2.5)
+    calls, raw = rhs_calls(integrate, signed_zero_field(), *args)
+    ref_calls, (times, states) = rhs_calls(reference_integrate,
+                                           signed_zero_field(), *args)
+    assert calls == ref_calls
+    assert raw.times.tobytes() == times.tobytes()
+    assert raw.states.tobytes() == states.tobytes()  # signs of zeros too
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", range(1, 9))
+def test_non_finite_stage_is_found_at_any_call(call, bad):
+    # the march sums only yn, k2 and k7 to test finiteness: a non-finite
+    # value at any other stage reaches yn through _B.  This field ignores
+    # its input, so only that test can see the value.  Call 1 seeds FSAL,
+    # calls 2-7 are the first step's stages and 8 is the second step's k2.
+    calls = 0
+
+    def field(y):
+        nonlocal calls
+        calls += 1
+        return [bad if calls == call else 0.5, 0.5]
+
+    with pytest.raises(NonFiniteState, match=r"^non-finite state in the "
+                                             r"step \(from t="):
+        integrate(field, [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
+    assert calls == (7 if call <= 7 else 13)  # the step's last stage
+
+
+# the calls a healthy step may make: the field (an opaque one on an
+# ndarray), and the domain guard's _require_positive, which only raises
+HEALTHY_CALLS = {"field", "array", "_require_positive"}
+
+
+def healthy_path(source: str) -> ast.FunctionDef:
+    """The march with what runs only on the way to a raise cut out: the
+    body of each if that raises, the operands after the first of its and,
+    and the except handlers."""
+    march = ast.parse(source).body[0]
+    for node in ast.walk(march):
+        if isinstance(node, ast.If) and any(
+                isinstance(n, ast.Raise) for s in node.body
+                for n in ast.walk(s)):
+            node.body = [ast.Pass()]
+            if isinstance(node.test, ast.BoolOp) and isinstance(
+                    node.test.op, ast.And):
+                node.test = node.test.values[0]
+        elif isinstance(node, ast.ExceptHandler):
+            node.body = [ast.Pass()]
+    return march
+
+
+@pytest.mark.parametrize("field,n", [
+    (basic_rhs(BASELINE), 2), (control_rhs(BASELINE, 0.47), 3),
+    (ne9_rhs(), 3), (modulated_rhs(BASELINE, 0.5), 5), (decay, 2),
+], ids=["basic", "controlled", "ne9", "modulated", "opaque"])
+def test_healthy_step_calls_only_the_field(field, n):
+    source = step_source(field, n)
+    assert "all(map(finite, (" in source and "len(k)" in source
+    march = healthy_path(source)
+    text = ast.unparse(march)
+    for call in ("abs(", "max(", "min(", "len(", "finite("):
+        assert call not in text
+    # the body of the loop over the samples: every step, and each store
+    loop, = [node for node in march.body[-1].body if isinstance(node, ast.For)]
+    called = {node.func.id for statement in loop.body
+              for node in ast.walk(statement) if isinstance(node, ast.Call)}
+    assert called <= HEALTHY_CALLS
+    assert ("field" in called) == (field is decay)
 
 
 # free-stepped to the endpoint, where the controller rejects steps: ne9
