@@ -1,16 +1,17 @@
 """Closed-form equilibria, Jacobians, eigenvalues and stability classes.
 
-Everything here is exact linear algebra: the positive equilibrium solves a
-2x2 linear system in (ln E, ln K) whose determinant is alpha + beta - 1,
-eigenvalues come from the quadratic characteristic polynomial, and the 3-D
-controlled system is block-triangular so its third eigenvalue is just -Y0.
-No iterative solver or general eigensolver is involved, which makes these
-results an independent oracle for the simulations.
+Everything here is exact algebra with no iterative or matrix solver, which
+makes these results an independent oracle for the simulations: Cramer's rule
+solves the 2x2 linear system in (ln E, ln K) for the positive equilibrium,
+the eigenvalues are the roots of a quadratic whose discriminant is positive
+(a node or a saddle, never a focus), and the 3-D controlled system is
+block-triangular so its third eigenvalue is just -Y0.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
 ]
 
 DEGENERACY_TOL = 1e-12
+LN_MAX = math.log(np.finfo(float).max)  # |ln x| < LN_MAX: x, 1/x finite
 
 
 class Stability(enum.Enum):
@@ -41,7 +43,7 @@ class EquilibriumReport:
     E0: float
     Y0: float
     jacobian: np.ndarray          # 2x2 (basic) or 3x3 (controlled)
-    eigenvalues: tuple[complex, ...]
+    eigenvalues: tuple[float, ...]
     classification: Stability
 
 
@@ -49,6 +51,8 @@ def _check_nondegenerate(params: ModelParams):
     if abs(params.alpha + params.beta - 1.0) < DEGENERACY_TOL:
         raise StructurallyUnstable(
             "alpha + beta = 1: no isolated positive equilibrium")
+    if params.s_k == 0:
+        raise StructurallyUnstable("s_k = 0: capital only decays to zero")
 
 
 def equilibrium(params: ModelParams) -> tuple[float, float]:
@@ -57,15 +61,17 @@ def equilibrium(params: ModelParams) -> tuple[float, float]:
     Solves the log-linear system
         alpha*lnE - (1-beta)*lnK = ln(delta_k/s_k)
         -(1-alpha)*lnE + beta*lnK = ln(delta_r/s_r)
-    whose determinant is alpha + beta - 1.
+    by Cramer's rule; its determinant is alpha + beta - 1.
     """
     _check_nondegenerate(params)
     a, b = params.alpha, params.beta
-    mat = np.array([[a, -(1.0 - b)], [-(1.0 - a), b]])
-    rhs = np.array([np.log(params.delta_k / params.s_k),
-                    np.log(params.delta_r / params.s_r)])
-    lnE, lnK = np.linalg.solve(mat, rhs)
-    return float(np.exp(lnK)), float(np.exp(lnE))
+    u = math.log(params.delta_k / params.s_k)
+    v = math.log(params.delta_r / params.s_r)
+    det = a + b - 1.0
+    lnE, lnK = (b * u + (1.0 - b) * v) / det, ((1.0 - a) * u + a * v) / det
+    if not all(abs(x) < LN_MAX for x in (lnK, lnE, a * lnE + b * lnK)):
+        raise StructurallyUnstable("K0, E0 or Y0 outside the range of a double")
+    return math.exp(lnK), math.exp(lnE)
 
 
 def jacobian_basic(params: ModelParams) -> np.ndarray:
@@ -78,23 +84,19 @@ def jacobian_basic(params: ModelParams) -> np.ndarray:
     ])
 
 
-def eigen_basic(params: ModelParams) -> tuple[complex, complex]:
-    """Eigenvalues at the basic equilibrium, ordered by descending real part.
+def eigen_basic(params: ModelParams) -> tuple[float, float]:
+    """The two real eigenvalues at the basic equilibrium, slowest first.
 
-    Roots of lambda^2 - tr*lambda + det with
-        tr  = (alpha-1)*delta_r + (beta-1)*delta_k
-        det = (1-alpha-beta)*delta_r*delta_k
+    Roots of lambda^2 - tr*lambda + det, with a = 1-alpha, b = 1-beta,
+        tr = -(a*delta_r + b*delta_k),  det = (1-alpha-beta)*delta_r*delta_k;
+    tr^2 - 4*det = (a*delta_r - b*delta_k)^2 + 4*alpha*beta*delta_r*delta_k
+    is positive, so the equilibrium is a node or a saddle, never a focus.
     """
     _check_nondegenerate(params)
-    a, b = params.alpha, params.beta
-    tr = (a - 1.0) * params.delta_r + (b - 1.0) * params.delta_k
-    det = (1.0 - a - b) * params.delta_r * params.delta_k
-    disc = tr * tr - 4.0 * det
-    sq = np.sqrt(complex(disc))
-    l1, l2 = (tr + sq) / 2.0, (tr - sq) / 2.0
-    if l1.real < l2.real:
-        l1, l2 = l2, l1
-    return complex(l1), complex(l2)
+    dk, dr = params.delta_k, params.delta_r
+    ar, bk = (1.0 - params.alpha) * dr, (1.0 - params.beta) * dk
+    sq = math.sqrt((ar - bk) ** 2 + 4.0 * params.alpha * params.beta * dr * dk)
+    return (-ar - bk + sq) / 2.0, (-ar - bk - sq) / 2.0
 
 
 def classify(eigenvalues) -> Stability:
@@ -147,7 +149,7 @@ def controlled_equilibrium(params: ModelParams, p: float) -> EquilibriumReport:
     jac3 = np.pad(base.jacobian, ((0, 1), (0, 1)))
     jac3[1, 2] = base.Y0
     jac3[2, 2] = -base.Y0
-    eigs = base.eigenvalues + (complex(-base.Y0),)
+    eigs = base.eigenvalues + (-base.Y0,)
     return replace(base, jacobian=jac3, eigenvalues=eigs,
                    classification=classify(eigs))
 

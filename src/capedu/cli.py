@@ -64,12 +64,6 @@ def _split(sep: str, cast, form: str, size: int | None = 2):
     return parse
 
 
-def _fmt_eig(e: complex) -> str:
-    if abs(e.imag) < 1e-12:
-        return f"{e.real:.7g}"
-    return f"{e.real:.7g}{e.imag:+.7g}i"
-
-
 def _cmd_simulate(args) -> str:
     traj = scenario_io.run_scenario(_load(args.scenario))
     if traj.constraint_violation:
@@ -88,7 +82,7 @@ def _cmd_equilibrium(args) -> str:
         f"K0={report.K0:.7g}",
         f"E0={report.E0:.7g}",
         f"Y0={report.Y0:.7g}",
-        "eigenvalues=" + ",".join(_fmt_eig(e) for e in report.eigenvalues),
+        "eigenvalues=" + ",".join(f"{e:.7g}" for e in report.eigenvalues),
         f"class={report.classification.value}",
     ]
     return "\n".join(lines) + "\n"

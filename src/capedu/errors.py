@@ -26,7 +26,7 @@ class NonFiniteState(CapEduError):
 
 
 class StructurallyUnstable(CapEduError):
-    """alpha + beta = 1: the positive equilibrium does not exist."""
+    """No positive equilibrium: alpha + beta = 1, s_k = 0 or out of range."""
 
 
 class NoSignChange(CapEduError):

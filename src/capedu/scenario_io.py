@@ -20,8 +20,8 @@ from . import chaos as chaos_mod
 from . import control as control_mod
 from . import model
 from .analysis import equilibrium
-from .errors import (CapEduError, EmptySeries, ParseError, ValidationError,
-                     require_finite, require_positive)
+from .errors import (CapEduError, EmptySeries, ParseError, StructurallyUnstable,
+                     ValidationError, require_finite, require_positive)
 from .integrator import (CHAOS_SETTINGS, IntegratorSettings, RawTrajectory,
                          _sample_grid, integrate)
 from .model import EconState, ModelParams
@@ -500,8 +500,8 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
                 integrate(rhs, np.array([K, E]), 0.0, horizon,
                           settings, sample_step))
     eq = None
-    if params.alpha + params.beta < 1:
-        eq = equilibrium(params)
+    with contextlib.suppress(StructurallyUnstable):  # s_k = 0 or out of range
+        eq = equilibrium(params) if params.alpha + params.beta < 1 else None
     return PhasePortrait(field_samples=np.array(samples),
                          trajectories=tuple(trajectories),
                          equilibrium=eq)

@@ -1,7 +1,13 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from capedu.analysis import (
+    DEGENERACY_TOL,
     Stability,
     classify,
     controlled_equilibrium,
@@ -13,6 +19,7 @@ from capedu.analysis import (
 )
 from capedu.errors import StructurallyUnstable, ValidationError
 from capedu.model import ModelParams, basic_rhs
+from capedu.scenario_io import phase_portrait
 
 from test_model import random_params
 
@@ -167,3 +174,83 @@ class TestInvariantManifold:
         p = ModelParams(s_k=0.2, s_r=0.2, delta_k=0.3, delta_r=0.3,
                         alpha=0.2, beta=0.35)
         assert invariant_manifold(p) == 1.0
+
+
+decay_rates = st.floats(1e-6, 1e3)
+
+
+@st.composite
+def any_params(draw):
+    """Parameters on both sides of alpha + beta = 1, often with equal decay
+    rates, where a discriminant written as tr^2 - 4*det cancels."""
+    alpha = draw(st.floats(1e-12, 0.999))
+    beta = draw(st.floats(1e-12, 0.999))
+    assume(abs(alpha + beta - 1.0) >= DEGENERACY_TOL)
+    delta_k = draw(decay_rates)
+    delta_r = delta_k if draw(st.booleans()) else draw(decay_rates)
+    return ModelParams(s_k=0.4, s_r=0.1, delta_k=delta_k, delta_r=delta_r,
+                       alpha=alpha, beta=beta)
+
+
+class TestEigenvaluesAreReal:
+    # with equal decay rates 0.15 and alpha = beta = 5e-9, tr^2 - 4*det
+    # cancels to a negative number, which read as a focus
+    @example(ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.15,
+                         alpha=5e-9, beta=5e-9))
+    @given(params=any_params())
+    def test_two_real_roots_of_the_characteristic_polynomial(self, params):
+        l1, l2 = eigen_basic(params)
+        assert type(l1) is float and type(l2) is float
+        assert l1 > l2
+        # the exact trace and determinant of the drawn (binary) parameters
+        a, b = Fraction(params.alpha), Fraction(params.beta)
+        dk, dr = Fraction(params.delta_k), Fraction(params.delta_r)
+        tr = (a - 1) * dr + (b - 1) * dk
+        det = (1 - a - b) * dr * dk
+        assert abs(Fraction(l1) + Fraction(l2) - tr) <= 1e-12 * abs(tr)
+        # a saddle's roots are as large as sqrt(tr^2 + 4|det|), not |tr|:
+        # alpha = beta = 0.999 leaves 1.2e-10 * tr^2 of rounding in l1*l2
+        assert abs(Fraction(l1) * Fraction(l2) - det) <= \
+            1e-12 * (tr * tr + 4 * abs(det))
+        if min(abs(l1), abs(l2)) < DEGENERACY_TOL:
+            expected = Stability.DEGENERATE  # classify's absolute rule
+        elif params.alpha + params.beta < 1:
+            expected = Stability.STABLE_NODE
+        else:
+            expected = Stability.SADDLE
+        assert classify([l1, l2]) is expected
+
+
+# no positive equilibrium a double can hold: s_k = 0 leaves only decay of
+# capital, and alpha + beta near 1 drives ln K0 = (...) / (alpha + beta - 1)
+# below the smallest double (K0 = E0 = Y0 = 0 at delta = 0.9) or above the
+# largest (K0 = inf at delta = 0.01)
+NO_EQUILIBRIUM = {
+    "s_k = 0": (dict(s_k=0.0), "s_k = 0: capital only decays to zero"),
+    "underflow": (dict(alpha=0.5, beta=0.4999, delta_k=0.9, delta_r=0.9),
+                  "K0, E0 or Y0 outside the range of a double"),
+    "overflow": (dict(alpha=0.5, beta=0.4999, delta_k=0.01, delta_r=0.01),
+                 "K0, E0 or Y0 outside the range of a double"),
+}
+
+
+@pytest.mark.parametrize("name", list(NO_EQUILIBRIUM))
+class TestNoEquilibriumADoubleHolds:
+    def test_closed_forms_refuse(self, baseline_params, name):
+        changes, message = NO_EQUILIBRIUM[name]
+        calls = [equilibrium, equilibrium_report,
+                 lambda q: controlled_equilibrium(q, 0.5)]
+        if name == "s_k = 0":  # the Jacobian divides by s_k
+            calls += [jacobian_basic, eigen_basic]
+        for call in calls:
+            with pytest.raises(StructurallyUnstable) as exc:
+                call(replace(baseline_params, **changes))
+            assert str(exc.value) == message
+
+    def test_phase_portrait_has_no_equilibrium(self, baseline_params, name):
+        params = replace(baseline_params, **NO_EQUILIBRIUM[name][0])
+        portrait = phase_portrait(params, (1, 2), (0.5, 1), (2, 2),
+                                  horizon=5.0)
+        assert portrait.equilibrium is None
+        assert portrait.field_samples.shape == (4, 4)
+        assert len(portrait.trajectories) == 4

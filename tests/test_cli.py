@@ -556,3 +556,81 @@ def test_sweep_at_tiny_horizon(tiny_horizon_scenario, capsys):
 def test_chaos_tiny_horizon(capsys):
     assert run(["chaos", "--horizon", "1e-13"]) == 0
     assert capsys.readouterr().out == "A(1e-13)=0.5\n"  # x stays at x0 = 0.5
+
+
+def edited(path, params=None, **top):
+    """Rewrite a scenario file with some params and top-level keys changed."""
+    doc = json.loads(path.read_text())
+    doc["params"].update(params or {})
+    doc.update(top)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_equal_decay_rates_print_a_node_not_a_focus(basic_scenario, capsys):
+    # tr^2 - 4*det cancelled to a negative number here and printed
+    # -0.15+1.862645e-09i,-0.15-1.862645e-09i and class=StableFocus
+    edited(basic_scenario, dict(delta_k=0.15, delta_r=0.15,
+                                alpha=5e-9, beta=5e-9))
+    assert run(["equilibrium", "--scenario", str(basic_scenario)]) == 0
+    out = capsys.readouterr().out
+    assert "i" not in out.replace("eigenvalues", "")
+    assert "eigenvalues=-0.15,-0.15\n" in out
+    assert out.endswith("class=StableNode\n")
+
+
+UNDERFLOW = dict(alpha=0.5, beta=0.4999, delta_k=0.9, delta_r=0.9)
+OUT_OF_RANGE = "K0, E0 or Y0 outside the range of a double"
+
+
+@pytest.mark.parametrize("params,top,message", [
+    (dict(s_k=0.0), {}, "s_k = 0: capital only decays to zero"),
+    (UNDERFLOW, {}, OUT_OF_RANGE),  # printed K0=0, E0=0, Y0=0
+    (UNDERFLOW, dict(kind="controlled", control={"p": 0.5, "s_r0": 0.1}),
+     OUT_OF_RANGE),  # printed class=Degenerate, from -Y0 = -0
+    ({**UNDERFLOW, "delta_k": 0.01, "delta_r": 0.01}, {},
+     OUT_OF_RANGE),  # printed K0=inf with a numpy RuntimeWarning
+], ids=["s_k=0", "underflow", "underflow-controlled", "overflow"])
+def test_no_equilibrium_a_double_holds_is_exit_3(params, top, message,
+                                                 basic_scenario, capsys):
+    edited(basic_scenario, params, **top)
+    assert run(["equilibrium", "--scenario", str(basic_scenario)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("params", [dict(s_k=0.0), UNDERFLOW],
+                         ids=["s_k=0", "underflow"])
+def test_phase_without_equilibrium_writes_its_csv(params, basic_scenario,
+                                                  capsys):
+    edited(basic_scenario, params)
+    assert run(["phase", "--scenario", str(basic_scenario), "--k-range",
+                "1:2", "--e-range", "0.5:1", "--grid", "2x2",
+                "--horizon", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("record,index,t,K,E,dK,dE\nfield,0,,1.0,0.5,")
+    assert err == ""
+
+
+def test_simulate_warns_when_s_r_leaves_its_interval(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "controlled_p047.json").read_text())
+    doc["control"]["s_r0"] = 0.7  # above 1 - s_k = 0.6
+    path = tmp_path / "controlled.json"
+    path.write_text(json.dumps(doc))
+    assert run(["simulate", "--scenario", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("t,K,E,s_r,Y,C,I_k,I_r\n0.0,4.0,1.0,0.7,")
+    assert err == "warning: s_r left its admissible interval during the run\n"
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [1], "scenario document must be a JSON object"),
+    (lambda doc: {**doc, "params": 5}, "params must be an object"),
+    (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items()
+                                    if k != "alpha"}},
+     "missing required field params.alpha"),
+], ids=["list", "params-number", "params-without-alpha"])
+def test_malformed_document_is_exit_2(edit, message, basic_scenario, capsys):
+    doc = edit(json.loads(basic_scenario.read_text()))
+    basic_scenario.write_text(json.dumps(doc))
+    assert run(["simulate", "--scenario", str(basic_scenario)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -129,6 +129,22 @@ class TestFindTipping:
         assert len(runs) == 6
         assert result.bracket[1] - result.bracket[0] <= 1e-3
 
+    def test_zero_growth_at_the_low_end_returns_it(self, baseline_params,
+                                                   start_4_1):
+        # a run whose output at the horizon is exactly Y(0) at p_low
+        y_start = production(baseline_params, start_4_1)
+
+        def flat_at_low_end(params, p, *args, **kwargs):
+            return {"Y": np.array([y_start if p == 0.40 else 0.5 * y_start])}
+
+        with mock.patch.object(control, "simulate_controlled",
+                               flat_at_low_end), counted_runs(2) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=1e-3)
+        assert runs == [0.40, 0.55]
+        assert result.p_star == 0.40 and result.bracket == (0.40, 0.55)
+        assert result.growth_at_bracket == (0.0, -0.5 * y_start)
+
     @pytest.mark.parametrize("tol", [1e-17, 5e-324])
     def test_tol_below_the_spacing_of_doubles_ends(self, baseline_params,
                                                   start_4_1, tol, capsys):

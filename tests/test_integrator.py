@@ -221,6 +221,13 @@ def test_non_finite_initial_state():
         integrate(decay, [np.nan], 0.0, 1.0, sample_step=0.5)
 
 
+@pytest.mark.parametrize("y0", [[[1.0]], []], ids=["2-D", "empty"])
+def test_start_must_be_a_non_empty_vector(y0):
+    with pytest.raises(ValueError) as exc:
+        integrate(decay, y0, 0.0, 1.0, sample_step=0.5)
+    assert str(exc.value) == "y0 must be a non-empty 1-D state vector"
+
+
 def test_bad_time_interval():
     with pytest.raises(ValueError):
         integrate(decay, [1.0], 1.0, 1.0, sample_step=0.5)

@@ -53,6 +53,13 @@ class TestModelParams:
             ModelParams(**base)
         assert exc.value.field == field
 
+    def test_s_r_above_one_names_its_bound(self):
+        # with s_k = 0 the sum rule s_k + s_r <= 1 cannot catch it first
+        with pytest.raises(ValidationError) as exc:
+            ModelParams(s_k=0.0, s_r=1.5, delta_k=0.15, delta_r=0.25,
+                        alpha=0.2, beta=0.35)
+        assert str(exc.value) == "s_r: must be at most 1"
+
 
 class TestProduction:
     def test_unit_inputs(self):

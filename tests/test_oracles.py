@@ -135,6 +135,40 @@ def test_controlled_runs_end_at_the_controlled_equilibrium(
     assert distance <= allowed(max(abs(u), abs(w), abs(v)))
 
 
+# stocks from 10^-2 to 10^1.5, none below SMALLEST_STOCK: from far smaller
+# stocks a run can still leave the domain, because near the equilibrium the
+# error estimate is about 0 and h grows 5x per step until a stage does
+stocks = st.floats(-2.0, 1.5).map(lambda u: 10.0 ** u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=stable_params(), K=stocks, E=stocks)
+def test_basic_runs_stay_positive(params, K, E):
+    # K' >= -delta_k K and E' >= -delta_r E: no exact orbit leaves K, E > 0,
+    # so a DomainError, which integrate raises, would fail the test
+    fastest, slowest = sorted(eigen_basic(params))
+    assume(fastest / slowest <= STIFFNESS)
+    horizon = DECAYS / -slowest
+    raw = integrate(basic_rhs(params), [K, E], 0.0, horizon,
+                    sample_step=horizon)
+    assert np.all(raw.states > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=stable_params(), s_r_star=st.floats(0.02, 0.9), K=stocks,
+       E=stocks, v=st.floats(-1.0, 0.5))
+def test_controlled_runs_stay_positive(params, s_r_star, K, E, v):
+    s_r_star = min(s_r_star, 0.98 - params.s_k)
+    p = 1.0 - params.s_k - s_r_star
+    fastest, *_, slowest = sorted(controlled_equilibrium(params, p).eigenvalues)
+    assume(fastest / slowest <= STIFFNESS)
+    horizon = DECAYS / -slowest
+    traj = simulate_controlled(params, p, EconState(K, E),
+                               s_r_star * 10.0 ** v, horizon,
+                               sample_step=horizon)
+    assert np.all(traj["K"] > 0) and np.all(traj["E"] > 0)
+
+
 def parsed_system(system, sympy):
     """The system's derivatives and their Jacobian in its states, parsed from
     its declared text, as functions of (states..., constants...)."""
