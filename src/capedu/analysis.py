@@ -5,7 +5,8 @@ makes these results an independent oracle for the simulations: Cramer's rule
 solves the 2x2 linear system in (ln E, ln K) for the positive equilibrium,
 the eigenvalues are the roots of a quadratic whose discriminant is positive
 (a node or a saddle, never a focus), and the 3-D controlled system is
-block-triangular so its third eigenvalue is just -Y0.
+block-triangular so its third eigenvalue is just -Y0.  The same log-linear
+solution, read backwards, gives the tipping target at an infinite horizon.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .model import ModelParams, output
 __all__ = [
     "Stability", "EquilibriumReport", "check_target",
     "equilibrium", "jacobian_basic", "eigen_basic", "classify",
-    "equilibrium_report", "controlled_equilibrium", "invariant_manifold",
+    "equilibrium_report", "controlled_equilibrium", "tipping_root",
+    "invariant_manifold",
 ]
 
 DEGENERACY_TOL = 1e-12
@@ -31,7 +33,6 @@ LN_MAX = math.log(np.finfo(float).max)  # |ln x| < LN_MAX: x, 1/x finite
 
 class Stability(enum.Enum):
     STABLE_NODE = "StableNode"
-    STABLE_FOCUS = "StableFocus"
     SADDLE = "Saddle"
     UNSTABLE = "Unstable"
     DEGENERATE = "Degenerate"
@@ -91,31 +92,29 @@ def eigen_basic(params: ModelParams) -> tuple[float, float]:
         tr = -(a*delta_r + b*delta_k),  det = (1-alpha-beta)*delta_r*delta_k;
     tr^2 - 4*det = (a*delta_r - b*delta_k)^2 + 4*alpha*beta*delta_r*delta_k
     is positive, so the equilibrium is a node or a saddle, never a focus.
+    The slow root is det / fast (Vieta): (tr + sq) / 2 cancels when det is
+    far below tr^2, as it is for alpha + beta near 1.
     """
     _check_nondegenerate(params)
+    a, b = params.alpha, params.beta
     dk, dr = params.delta_k, params.delta_r
-    ar, bk = (1.0 - params.alpha) * dr, (1.0 - params.beta) * dk
-    sq = math.sqrt((ar - bk) ** 2 + 4.0 * params.alpha * params.beta * dr * dk)
-    return (-ar - bk + sq) / 2.0, (-ar - bk - sq) / 2.0
+    ar, bk = (1.0 - a) * dr, (1.0 - b) * dk
+    fast = (-ar - bk - math.sqrt((ar - bk) ** 2 + 4.0 * a * b * dr * dk)) / 2.0
+    return math.fsum((1.0, -a, -b)) * dr * dk / fast, fast
 
 
 def classify(eigenvalues) -> Stability:
-    """Stability class from a nonempty list of eigenvalues."""
-    eigs = [complex(e) for e in eigenvalues]
+    """Stability class from a nonempty list of real eigenvalues; one within
+    DEGENERACY_TOL of zero, relative to the largest |eigenvalue|, is zero."""
+    eigs = [float(e) for e in eigenvalues]
     if not eigs:
         raise ValueError("need at least one eigenvalue")
-    if any(abs(e) < DEGENERACY_TOL for e in eigs):
+    scale = max(abs(e) for e in eigs)
+    if any(abs(e) <= DEGENERACY_TOL * scale for e in eigs):
         return Stability.DEGENERATE
-    all_real = all(abs(e.imag) < DEGENERACY_TOL for e in eigs)
-    if all_real:
-        if all(e.real < 0 for e in eigs):
-            return Stability.STABLE_NODE
-        if any(e.real > 0 for e in eigs) and any(e.real < 0 for e in eigs):
-            return Stability.SADDLE
-        return Stability.UNSTABLE
-    if all(e.real < 0 for e in eigs):
-        return Stability.STABLE_FOCUS
-    return Stability.UNSTABLE
+    if all(e < 0 for e in eigs):
+        return Stability.STABLE_NODE
+    return Stability.SADDLE if any(e < 0 for e in eigs) else Stability.UNSTABLE
 
 
 def equilibrium_report(params: ModelParams) -> EquilibriumReport:
@@ -152,6 +151,22 @@ def controlled_equilibrium(params: ModelParams, p: float) -> EquilibriumReport:
     eigs = base.eigenvalues + (-base.Y0,)
     return replace(base, jacobian=jac3, eigenvalues=eigs,
                    classification=classify(eigs))
+
+
+def tipping_root(params: ModelParams, y_start: float) -> float:
+    """The target p whose controlled equilibrium output Y0 equals y_start:
+    the tipping point at an infinite horizon.
+
+    With u = ln(delta_k/s_k) and v = ln(delta_r/s_r*), equilibrium's Cramer's
+    rule gives ln Y0 = (beta*u + alpha*v)/(alpha + beta - 1); solve it for v,
+    then s_r* = 1 - s_k - p.  A y_start no target in (0, 1 - s_k) reaches
+    gives a p outside that interval.
+    """
+    _check_nondegenerate(params)
+    a, b = params.alpha, params.beta
+    u = math.log(params.delta_k / params.s_k)
+    v = ((a + b - 1.0) * math.log(y_start) - b * u) / a
+    return 1.0 - params.s_k - params.delta_r * math.exp(min(-v, LN_MAX))
 
 
 def invariant_manifold(params: ModelParams) -> float | None:

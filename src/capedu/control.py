@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import model
-from .analysis import check_target, controlled_equilibrium
-from .errors import NoSignChange, require_positive
-from .integrator import IntegratorSettings, integrate
+from .analysis import check_target, controlled_equilibrium, tipping_root
+from .errors import (NoSignChange, StructurallyUnstable, ValidationError,
+                     require_positive)
+from .integrator import DEFAULT_SETTINGS, IntegratorSettings, integrate
 from .model import EconState, ModelParams, production
 from .trajectory import Trajectory, build_trajectory
 
 __all__ = ["TippingResult", "check_control", "simulate_controlled",
-           "find_tipping", "long_run_outcome"]
+           "tipping_seed", "find_tipping", "long_run_outcome"]
+
+# How far a start's log-distance from a stable equilibrium may grow before it
+# decays as e^(lambda1 t): tests/test_oracles.py bounds end states with the
+# same factor, on draws where nearly equal eigenvalues made it about 12.
+TRANSIENT = 1e3
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,41 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
                             s_r=raw.states[:, 2])
 
 
+def tipping_seed(params: ModelParams, econ0: EconState, s_r0: float,
+                 horizon: float, settings: IntegratorSettings | None = None
+                 ) -> tuple[float, float]:
+    """The closed-form tipping root p_inf (analysis.tipping_root) and a bound
+    on the distance from it to the root at the horizon; (nan, inf) without a
+    controlled equilibrium at p_inf, and inf where it is not stable.
+
+    At p_inf, Y0 = Y(0).  A run there ends with its largest log-distance
+    from that equilibrium at most TRANSIENT (1 + |lambda1| T) e^(lambda1 T)
+    times the start's, plus ten times the integrator's tolerance, where
+    lambda1 < 0 is the slowest rate, -Y0 included.  ln Y = alpha ln E +
+    beta ln K is off by at most alpha + beta times that, and
+    dp / d ln Y0 = (1 - alpha - beta) s_r* / alpha turns it into a p.
+    """
+    try:
+        p_inf = tipping_root(params, production(params, econ0))
+        # the floor only flags runs; it has no say in the equilibrium
+        report = controlled_equilibrium(replace(params, s_r_floor=0.0), p_inf)
+    except (StructurallyUnstable, ValidationError):
+        return math.nan, math.inf
+    rate = max(report.eigenvalues)
+    if not rate < 0:
+        return p_inf, math.inf
+    s_r_star = 1.0 - params.s_k - p_inf
+    settings = settings or DEFAULT_SETTINGS
+    start = max(abs(math.log(econ0.K) - math.log(report.K0)),
+                abs(math.log(econ0.E) - math.log(report.E0)),
+                abs(math.log(s_r0) - math.log(s_r_star)))
+    end = (TRANSIENT * (1.0 - rate * horizon) * math.exp(rate * horizon)
+           * start + 10.0 * (settings.rel_tol + settings.abs_tol
+                             / min(report.K0, report.E0, s_r_star)))
+    a, b = params.alpha, params.beta
+    return p_inf, (a + b) * end * (1.0 - a - b) * s_r_star / a
+
+
 def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
                  horizon: float, p_low: float, p_high: float,
                  tol: float = 1e-3,
@@ -58,11 +99,21 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
 
     dY(p) = Y(horizon; p) - Y(0) must change sign over the bracket, else
     NoSignChange.  horizon, then tol (a NaN tol would end the search) must be
-    finite and positive, then both ends must pass check_target.  The search
-    is ITP (Oliveira & Takahashi 2021) with kappa1 = 0.2 / W for a bracket W
-    wide, kappa2 = 2 and n0 = 0: at most bisection's 2 + ceil(log2(W / tol))
-    runs, fewer on a smooth dY.  It stops once the bracket is at most tol
-    wide or holds no double; p_star is the midpoint of the final bracket.
+    finite and positive, then both ends must pass check_target.
+
+    After the two end runs the search tries a seed: the pair p_inf -+ tol/2
+    around the closed-form root of an infinite horizon (tipping_seed), when
+    ITP's interior budget ceil(log2(W / tol)) for a bracket W wide is at
+    least 3, the pair lies inside the bracket and the bound on the root's
+    distance from p_inf is below tol/2.  A pair whose growths differ in sign
+    is the result, 4 runs in all.  Otherwise, and from whatever bracket the
+    pair has narrowed, the search is ITP (Oliveira & Takahashi 2021) with
+    kappa1 = 0.2 / W, kappa2 = 2 and n0 = 0: at most bisection's
+    2 + ceil(log2(W / tol)) runs, fewer on a smooth dY.  With the seed's
+    gate closed it makes the same runs as without a seed; a pair that missed
+    the root, which the bound rules out, would cost up to two runs more.
+    The search stops once the bracket is at most tol wide or holds no
+    double; p_star is the midpoint of the final bracket.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
@@ -88,26 +139,48 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
             f"growth has the same sign at both ends: {g_low:.4g}, {g_high:.4g}")
 
     lo, hi, g_lo, g_hi = p_low, p_high, g_low, g_high
-    n = math.ceil(math.log2(hi - lo) - math.log2(tol))  # W / tol may overflow
+    seed = ()
+    # with ITP's interior budget ceil(log2(W / tol)) at 2 or less, the pair
+    # cannot save a run
+    if math.log2(hi - lo) - math.log2(tol) > 2:
+        p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
+        x1 = p_inf - 0.5 * tol
+        x2 = x1 + tol
+        while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
+            x2 = math.nextafter(x2, x1)
+        if gap < 0.5 * tol and lo < x1 < x2 < hi:
+            seed = (x1, x2)
+
+    def split(x: float) -> None:
+        """Run x; keep the part of [lo, hi] where the growth changes sign."""
+        nonlocal lo, hi, g_lo, g_hi
+        g_x = growth(x)
+        if g_x == 0.0:
+            lo = hi = x
+            g_lo = g_hi = g_x
+        elif np.sign(g_x) == np.sign(g_lo):
+            lo, g_lo = x, g_x
+        else:
+            hi, g_hi = x, g_x
+
+    for x in seed:
+        if lo < x < hi:  # a first run above the root leaves out the second
+            split(x)
+    width = hi - lo  # ITP starts on what the seed left
+    # W / tol may overflow; an exact zero of the seed leaves W = 0
+    n = math.ceil(math.log2(max(width, tol)) - math.log2(tol))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent doubles: a tol below their spacing ends here
         x = lo + (hi - lo) * g_lo / (g_lo - g_hi)  # interpolate
-        delta = 0.2 / (p_high - p_low) * (hi - lo) ** 2  # truncate
+        delta = 0.2 / width * (hi - lo) ** 2  # truncate
         x = mid if delta > abs(mid - x) else x + math.copysign(delta, mid - x)
         radius = math.ldexp(tol, n - 1) - 0.5 * (hi - lo)  # 2.0**n overflows
         x = min(max(x, mid - radius), mid + radius)  # project
         x = x if lo < x < hi else mid
-        g_x, n = growth(x), n - 1
-        if g_x == 0.0:
-            lo = hi = x
-            g_lo = g_hi = g_x
-            break
-        if np.sign(g_x) == np.sign(g_lo):
-            lo, g_lo = x, g_x
-        else:
-            hi, g_hi = x, g_x
+        split(x)
+        n -= 1
     return TippingResult(p_star=0.5 * (lo + hi), bracket=(lo, hi),
                          growth_at_bracket=(g_lo, g_hi), horizon_used=horizon)
 

@@ -104,10 +104,20 @@ class TestClassify:
     def test_cases(self):
         assert classify([-0.0763, -0.2212]) is Stability.STABLE_NODE
         assert classify([0.1, -0.2]) is Stability.SADDLE
-        assert classify([-0.1 + 0.3j, -0.1 - 0.3j]) is Stability.STABLE_FOCUS
-        assert classify([0.1 + 0.3j, 0.1 - 0.3j]) is Stability.UNSTABLE
         assert classify([0.1, 0.2]) is Stability.UNSTABLE
         assert classify([0.0, -0.2]) is Stability.DEGENERATE
+
+    def test_degeneracy_is_relative_to_the_largest_rate(self):
+        # a slow rate of 3.3e-13 beside a fast one of 0.3 was Degenerate
+        # under an absolute tolerance of 1e-12
+        p = ModelParams(s_k=0.4, s_r=0.1, delta_k=1.0, delta_r=1e-3,
+                        alpha=0.3, beta=0.6999999999)
+        l1, l2 = eigen_basic(p)
+        assert -1e-12 < l1 < 0
+        assert classify([l1, l2]) is Stability.STABLE_NODE
+        assert classify([1e-13 * l2, l2]) is Stability.DEGENERATE
+        assert classify([1e-13, 1e-14]) is Stability.UNSTABLE
+        assert classify([0.0, 0.0]) is Stability.DEGENERATE
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -212,8 +222,8 @@ class TestEigenvaluesAreReal:
         # alpha = beta = 0.999 leaves 1.2e-10 * tr^2 of rounding in l1*l2
         assert abs(Fraction(l1) * Fraction(l2) - det) <= \
             1e-12 * (tr * tr + 4 * abs(det))
-        if min(abs(l1), abs(l2)) < DEGENERACY_TOL:
-            expected = Stability.DEGENERATE  # classify's absolute rule
+        if min(abs(l1), abs(l2)) <= DEGENERACY_TOL * max(abs(l1), abs(l2)):
+            expected = Stability.DEGENERATE  # classify's relative rule
         elif params.alpha + params.beta < 1:
             expected = Stability.STABLE_NODE
         else:
@@ -254,3 +264,34 @@ class TestNoEquilibriumADoubleHolds:
         assert portrait.equilibrium is None
         assert portrait.field_samples.shape == (4, 4)
         assert len(portrait.trajectories) == 4
+
+
+@st.composite
+def near_unit_sum(draw):
+    """Parameters with alpha + beta within 10^-12 to 10^-1 of 1, on either
+    side, where the slow eigenvalue is far below the fast one."""
+    alpha = draw(st.floats(1e-3, 0.999))
+    gap = 10.0 ** draw(st.floats(-12.0, -1.0)) * draw(st.sampled_from([-1, 1]))
+    beta = 1.0 - alpha + gap
+    assume(0.0 < beta < 1.0 and abs(alpha + beta - 1.0) >= DEGENERACY_TOL)
+    delta_k = draw(decay_rates)
+    delta_r = delta_k if draw(st.booleans()) else draw(decay_rates)
+    return ModelParams(s_k=0.4, s_r=0.1, delta_k=delta_k, delta_r=delta_r,
+                       alpha=alpha, beta=beta)
+
+
+@example(ModelParams(s_k=0.4, s_r=0.1, delta_k=1.0, delta_r=1.0, alpha=0.5,
+                     beta=0.499999999))  # (tr + sq) / 2 was off by 5.6e-8
+@example(ModelParams(s_k=0.4, s_r=0.1, delta_k=1.0, delta_r=1e-3, alpha=0.3,
+                     beta=0.6999999999))  # 1 - alpha - beta rounds to 8e-7
+@given(params=st.one_of(any_params(), near_unit_sum()))
+def test_eigenvalues_match_50_digit_arithmetic(params):
+    mpmath = pytest.importorskip("mpmath")
+    l1, l2 = eigen_basic(params)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(params.alpha), mpmath.mpf(params.beta)
+        dk, dr = mpmath.mpf(params.delta_k), mpmath.mpf(params.delta_r)
+        tr = (a - 1) * dr + (b - 1) * dk
+        sq = mpmath.sqrt(tr * tr - 4 * (1 - a - b) * dr * dk)
+        for got, exact in ((l1, (tr + sq) / 2), (l2, (tr - sq) / 2)):
+            assert abs(got - exact) <= 1e-14 * abs(exact)

@@ -78,9 +78,10 @@ CONTROLLED = str(SCENARIOS / "controlled_p047.json")
     # a tolerance wider than the bracket searches nothing: one run per end
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "1", "--horizon", "20"), 2),
-    # criterion 6's search: 6 runs, where bisection made 10
+    # criterion 6's search: its 2 ends and the 2 seed runs around the
+    # closed-form root, where ITP made 6 and bisection 10
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
-          "--p-max", "0.55", "--tol", "1e-3"), 6),
+          "--p-max", "0.55", "--tol", "1e-3"), 4),
     (_cli("phase", "--scenario", BASIC, "--k-range", "1:6",
           "--e-range", "0.5:3", "--grid", "2x2", "--horizon", "5"), 4),
     (_chaotic_scenario_built_in_code(), 1),

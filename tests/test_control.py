@@ -1,5 +1,6 @@
 import contextlib
 import math
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from capedu import cli, control
 from capedu.analysis import controlled_equilibrium
-from capedu.control import find_tipping, long_run_outcome, simulate_controlled
+from capedu.control import (
+    find_tipping, long_run_outcome, simulate_controlled, tipping_seed,
+)
 from capedu.errors import NoSignChange, ValidationError
 from capedu.model import EconState, ModelParams, production
 
@@ -121,13 +124,95 @@ class TestFindTipping:
         assert g_lo * g_hi < 0
         assert result.horizon_used == 200.0
 
-    def test_crit_6_search_makes_six_runs(self, baseline_params, start_4_1):
-        # bisection makes 2 + ceil(log2(0.15 / 1e-3)) = 10
-        with counted_runs(6) as runs:
+    def test_crit_6_search_makes_four_runs(self, baseline_params, start_4_1):
+        # the 2 ends, then the seed pair around the closed-form root, which
+        # holds the root; ITP made 6 and bisection 2 + ceil(log2(150)) = 10
+        with counted_runs(4) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
-        assert len(runs) == 6
+        assert len(runs) == 4
         assert result.bracket[1] - result.bracket[0] <= 1e-3
+
+    def test_seed_pair_is_the_bracket(self, baseline_params, start_4_1):
+        p_inf, gap = tipping_seed(baseline_params, start_4_1, 0.1, 200.0)
+        assert gap < 0.5e-3
+        # p_inf +- tol/2 rounds to a pair wider than tol, which would cost
+        # a fifth run; the search steps its upper end down
+        assert (p_inf + 0.5e-3) - (p_inf - 0.5e-3) > 1e-3
+        with counted_runs(4) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=1e-3)
+        lo, hi = result.bracket
+        assert runs == [0.40, 0.55, lo, hi]
+        assert lo == p_inf - 0.5e-3 and hi - lo <= 1e-3
+        assert math.nextafter(hi, math.inf) - lo > 1e-3
+        assert result.p_star == 0.5 * (lo + hi)
+
+    def test_seed_needs_a_stable_equilibrium_at_p_inf(self, baseline_params,
+                                                      start_4_1):
+        seed = tipping_seed(baseline_params, start_4_1, 0.1, 200.0)
+        # a floor above s_r* only flags runs: the same seed
+        floored = replace(baseline_params, s_r=0.25, s_r_floor=0.2)
+        assert tipping_seed(floored, start_4_1, 0.1, 200.0) == seed
+        # a saddle has no rate to decay at; s_k = 0 no equilibrium at all
+        saddle = replace(baseline_params, alpha=0.6, beta=0.6)
+        assert tipping_seed(saddle, start_4_1, 0.1, 200.0)[1] == math.inf
+        none = tipping_seed(replace(baseline_params, s_k=0.0), start_4_1,
+                            0.1, 200.0)
+        assert math.isnan(none[0]) and none[1] == math.inf
+
+    # the runs and results the search made before it had a seed; the seed's
+    # gate stays closed where the bound on the root's distance from p_inf is
+    # not below tol / 2 (T = 20 and 50; T = 200 at tol 1e-6), or where ITP
+    # needs at most 2 interior runs (tol 0.05)
+    @pytest.mark.parametrize("horizon,tol,runs,bracket", [
+        (20.0, 1e-3, [0.4, 0.55, 0.47500000000000003, 0.45568301459831245,
+                      0.46477736153318666, 0.464354220344709],
+         (0.464354220344709, 0.46477736153318666)),
+        (50.0, 1e-3, [0.4, 0.55, 0.47500000000000003, 0.4573705498189509,
+                      0.4661852749094755, 0.4658960830883987],
+         (0.4658960830883987, 0.4661852749094755)),
+        (200.0, 0.05, [0.4, 0.55, 0.47500000000000003, 0.45],
+         (0.45, 0.47500000000000003)),
+        (200.0, 1e-6, [0.4, 0.55, 0.47500000000000003, 0.4575344116493559,
+                       0.46626720582467795, 0.4660466920737662,
+                       0.46615047112407154, 0.46615041706142046],
+         (0.46615041706142046, 0.46615047112407154)),
+    ])
+    def test_closed_gate_makes_the_unseeded_runs(self, baseline_params,
+                                                 start_4_1, horizon, tol,
+                                                 runs, bracket):
+        with counted_runs(len(runs)) as made:
+            result = find_tipping(baseline_params, start_4_1, 0.1, horizon,
+                                  0.40, 0.55, tol=tol)
+        assert made == runs
+        assert result.bracket == bracket
+        assert result.p_star == 0.5 * (bracket[0] + bracket[1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(draws=tipping_draws(), shorter=st.one_of(st.just(1.0),
+                                                    st.floats(0.05, 1.0)))
+    def test_root_at_the_horizon_lies_within_the_seed_bound(self, draws,
+                                                            shorter):
+        # the root by Brent's method on the runs themselves, never through
+        # find_tipping; shorter horizons try the bound where the start has
+        # not yet decayed, and at the drawn ones the gate opens at tol 1e-3
+        optimize = pytest.importorskip("scipy.optimize")
+        params, start, horizon, p_low, p_high = draws
+        horizon *= shorter
+        y_start = production(params, start)
+
+        def growth(p):
+            traj = simulate_controlled(params, p, start, 0.1, horizon,
+                                       sample_step=horizon)
+            return float(traj["Y"][-1]) - y_start
+
+        assume(growth(p_low) * growth(p_high) < 0)
+        root = optimize.brentq(growth, p_low, p_high, xtol=1e-15)
+        p_inf, gap = tipping_seed(params, start, 0.1, horizon)
+        assert abs(root - p_inf) <= gap
+        if shorter == 1.0:
+            assert gap < 0.5e-3
 
     def test_zero_growth_at_the_low_end_returns_it(self, baseline_params,
                                                    start_4_1):

@@ -6,6 +6,8 @@ integrated end state with equilibrium() and controlled_equilibrium().
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,15 +16,18 @@ from hypothesis import strategies as st
 
 from capedu.analysis import (
     controlled_equilibrium, eigen_basic, equilibrium, jacobian_basic,
+    tipping_root,
 )
 from capedu.control import find_tipping, simulate_controlled
-from capedu.integrator import integrate
+from capedu.integrator import DEFAULT_SETTINGS, integrate
 from capedu.model import (
     BASIC, CONTROLLED, MODULATED, EconState, ModelParams, basic_rhs,
     production,
 )
+from capedu.scenario_io import load_scenario, run_scenario
 
 from conftest import BASELINE
+from test_integrator import rhs_calls
 
 # Near a stable equilibrium the log-distance decays like exp(lambda*t), with
 # lambda the slowest eigenvalue's real part; the (1 + |lambda| t) factor
@@ -92,6 +97,64 @@ def stable_params(draw):
 
 
 offsets = st.floats(-1.0, 1.0)
+
+
+def invariant_line_E(params: ModelParams, E0: float, t) -> np.ndarray:
+    """E(t) on the invariant line K = (s_k/s_r) E of delta_k = delta_r.
+
+    There Y = (s_k/s_r)^beta E^gamma with gamma = alpha + beta, so
+    E' = A E^gamma - delta E with A = s_r (s_k/s_r)^beta: a Bernoulli
+    equation, linear in E^(1 - gamma).
+    """
+    gamma, delta = params.alpha + params.beta, params.delta_r
+    rest = params.s_r * (params.s_k / params.s_r) ** params.beta / delta
+    w = rest + (E0 ** (1.0 - gamma) - rest) * np.exp(
+        -(1.0 - gamma) * delta * np.asarray(t))
+    return w ** (1.0 / (1.0 - gamma))
+
+
+def test_invariant_line_scenario_follows_the_closed_form():
+    path = Path(__file__).resolve().parent.parent / "scenarios"
+    scenario = load_scenario((path / "basic_invariant_line.json").read_text())
+    params, start = scenario.params, scenario.initial
+    slope = params.s_k / params.s_r
+    assert scenario.initial.K == slope * start.E  # the run starts on the line
+    traj = run_scenario(scenario)
+    E = invariant_line_E(params, start.E, traj.times)
+    assert traj.times.size == 201
+    np.testing.assert_allclose(traj["E"], E, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(traj["K"], slope * E, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=stable_params(), E0=st.floats(-2.0, 1.5).map(
+    lambda u: 10.0 ** u))
+def test_runs_on_the_invariant_line_follow_the_closed_form(params, E0):
+    params = replace(params, delta_k=params.delta_r)
+    slope = params.s_k / params.s_r
+    gamma = params.alpha + params.beta
+    horizon = 8.0 / ((1.0 - gamma) * params.delta_r)
+    calls, raw = rhs_calls(integrate, basic_rhs(params), [slope * E0, E0],
+                           0.0, horizon, DEFAULT_SETTINGS, horizon / 50)
+    E = invariant_line_E(params, E0, raw.times)
+    # each step's local error is within abs_tol + rel_tol |y|; they add up
+    s = DEFAULT_SETTINGS
+    steps = (calls - 1) // 6
+    bound = steps * (s.abs_tol + s.rel_tol * np.abs(raw.states).max())
+    assert np.all(np.abs(raw.states[:, 1] - E) <= bound)
+    assert np.all(np.abs(raw.states[:, 0] - slope * E) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=stable_params(), s_r_star=st.floats(0.02, 0.9))
+def test_tipping_root_inverts_the_controlled_equilibrium(params, s_r_star):
+    # analysis.tipping_root against the copy above, written another way
+    p = 1.0 - params.s_k - min(s_r_star, 0.98 - params.s_k)
+    y_start = controlled_equilibrium(params, p).Y0
+    assert math.isclose(tipping_root(params, y_start), p, abs_tol=1e-12)
+    assert math.isclose(tipping_root(params, y_start),
+                        closed_form_tipping_root(params, y_start),
+                        abs_tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
