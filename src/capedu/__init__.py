@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .integrator import IntegratorSettings, RawTrajectory, integrate
-from .model import EconState, ModelParams, consumption, production
+from .model import EconState, ModelParams, output
 from .scenario_io import (
     ChaosSpec,
     ControlSpec,

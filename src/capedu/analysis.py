@@ -141,16 +141,17 @@ def controlled_equilibrium(params: ModelParams, p: float) -> EquilibriumReport:
 
     At equilibrium the education investment settles at s_r* = 1 - s_k - p.
     The 3x3 linearization is block-triangular: the top-left 2x2 block is the
-    basic Jacobian at s_r*, and the third eigenvalue is -Y0.
+    basic Jacobian at s_r*, and the third eigenvalue is -Y0.  s_r_floor only
+    flags runs, so the report is the same under any floor.
     """
     check_target(params, p)
-    base = equilibrium_report(replace(params, s_r=1.0 - params.s_k - p))
-    jac3 = np.pad(base.jacobian, ((0, 1), (0, 1)))
-    jac3[1, 2] = base.Y0
-    jac3[2, 2] = -base.Y0
-    eigs = base.eigenvalues + (-base.Y0,)
-    return replace(base, jacobian=jac3, eigenvalues=eigs,
-                   classification=classify(eigs))
+    base = equilibrium_report(
+        replace(params, s_r=1.0 - params.s_k - p, s_r_floor=0.0))
+    (j11, j12), (j21, j22) = base.jacobian.tolist()
+    Y0, eigs = base.Y0, base.eigenvalues + (-base.Y0,)
+    return EquilibriumReport(base.K0, base.E0, Y0, np.array(
+        [[j11, j12, 0.0], [j21, j22, Y0], [0.0, 0.0, -Y0]]),
+        eigs, classify(eigs))
 
 
 def tipping_root(params: ModelParams, y_start: float) -> float:
@@ -171,6 +172,7 @@ def tipping_root(params: ModelParams, y_start: float) -> float:
 
 def invariant_manifold(params: ModelParams) -> float | None:
     """Slope of the invariant line K = (s_k/s_r)*E, present iff delta_k = delta_r."""
-    if abs(params.delta_k - params.delta_r) < DEGENERACY_TOL:
+    dk, dr = params.delta_k, params.delta_r
+    if abs(dk - dr) <= DEGENERACY_TOL * max(dk, dr):  # relative, as classify
         return params.s_k / params.s_r
     return None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .analysis import check_target, controlled_equilibrium, tipping_root
 from .errors import (NoSignChange, StructurallyUnstable, ValidationError,
                      require_positive)
 from .integrator import DEFAULT_SETTINGS, IntegratorSettings, integrate
-from .model import EconState, ModelParams, production
+from .model import EconState, ModelParams, output
 from .trajectory import Trajectory, build_trajectory
 
 __all__ = ["TippingResult", "check_control", "simulate_controlled",
@@ -71,9 +71,8 @@ def tipping_seed(params: ModelParams, econ0: EconState, s_r0: float,
     dp / d ln Y0 = (1 - alpha - beta) s_r* / alpha turns it into a p.
     """
     try:
-        p_inf = tipping_root(params, production(params, econ0))
-        # the floor only flags runs; it has no say in the equilibrium
-        report = controlled_equilibrium(replace(params, s_r_floor=0.0), p_inf)
+        p_inf = tipping_root(params, output(params, econ0.K, econ0.E))
+        report = controlled_equilibrium(params, p_inf)
     except (StructurallyUnstable, ValidationError):
         return math.nan, math.inf
     rate = max(report.eigenvalues)
@@ -121,7 +120,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     check_target(params, p_high)
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
-    y_start = production(params, econ0)
+    y_start = output(params, econ0.K, econ0.E)
 
     def growth(p: float) -> float:
         # only the endpoint matters; one output interval per evaluation

@@ -21,8 +21,7 @@ import numpy as np
 from .errors import (DomainError, NonFiniteState, StepLimitExceeded,
                      ValidationError, require_positive)
 
-__all__ = ["IntegratorSettings", "RawTrajectory", "integrate",
-           "step_source"]
+__all__ = ["IntegratorSettings", "RawTrajectory", "integrate"]
 
 
 @dataclass(frozen=True)
@@ -192,11 +191,6 @@ def _step_for(n: int, system=None) -> Callable:
     exec(compile(_step_source(n, system), f"<dopri5 march, {name}>", "exec"),
          namespace)
     return namespace["march"]
-
-
-def step_source(field: Callable, n: int) -> str:
-    """The source of the march integrate runs for field on n components."""
-    return _step_source(n, getattr(field, "system", None))
 
 
 def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:

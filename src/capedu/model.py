@@ -25,9 +25,8 @@ from typing import ClassVar
 from .errors import DomainError, ValidationError, require_positive
 
 __all__ = [
-    "ModelParams", "EconState", "production", "output", "consumption",
-    "basic_rhs", "ne9_rhs", "modulated_rhs", "control_rhs",
-    "NE9_B_DEFAULT", "NE9_START_DEFAULT",
+    "ModelParams", "EconState", "output", "basic_rhs", "ne9_rhs",
+    "modulated_rhs", "control_rhs", "NE9_B_DEFAULT", "NE9_START_DEFAULT",
 ]
 
 NE9_B_DEFAULT = 0.55
@@ -122,16 +121,6 @@ output = _compiled("output", [
     "    alpha, beta = params.alpha, params.beta",
     f"    return {_OUTPUT}",
 ])["output"]
-
-
-def production(params: ModelParams, state: EconState) -> float:
-    """Output level Y = E^alpha * K^beta."""
-    return output(params, state.K, state.E)
-
-
-def consumption(params: ModelParams, s_r_current: float, Y: float) -> float:
-    """Consumption C = (1 - s_k - s_r)*Y, the non-invested remainder."""
-    return (1.0 - params.s_k - s_r_current) * Y
 
 
 @dataclass(frozen=True, eq=False)

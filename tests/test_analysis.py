@@ -164,11 +164,17 @@ class TestControlledEquilibrium:
             controlled_equilibrium(baseline_params, 0.6)
         assert exc.value.field == "p"
 
-    def test_floor_conflict_is_validation_error(self):
+    def test_floor_above_s_r_star_leaves_the_report_unchanged(self):
+        # the floor only flags runs: s_r* = 0.05 lies below it
         p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                         alpha=0.2, beta=0.35, s_r_floor=0.1)
-        with pytest.raises(ValidationError):
-            controlled_equilibrium(p, 0.55)  # s_r* = 0.05 below the floor
+        floored = controlled_equilibrium(p, 0.55)
+        free = controlled_equilibrium(replace(p, s_r_floor=0.0), 0.55)
+        assert (floored.K0, floored.E0, floored.Y0) == \
+            (free.K0, free.E0, free.Y0)
+        assert np.array_equal(floored.jacobian, free.jacobian)
+        assert floored.eigenvalues == free.eigenvalues
+        assert floored.classification is free.classification
 
 
 class TestInvariantManifold:
@@ -184,6 +190,18 @@ class TestInvariantManifold:
         p = ModelParams(s_k=0.2, s_r=0.2, delta_k=0.3, delta_r=0.3,
                         alpha=0.2, beta=0.35)
         assert invariant_manifold(p) == 1.0
+
+    def test_tiny_rates_compare_relative_to_the_larger(self):
+        # five times apart, though they differ by less than 1e-12
+        p = ModelParams(s_k=0.4, s_r=0.1, delta_k=1e-13, delta_r=5e-13,
+                        alpha=0.2, beta=0.35)
+        assert invariant_manifold(p) is None
+
+    def test_rates_a_rounding_apart_match(self):
+        p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.2,
+                        delta_r=0.2 * (1 + 1e-15), alpha=0.2, beta=0.35)
+        assert p.delta_r != p.delta_k
+        assert invariant_manifold(p) == 4.0
 
 
 decay_rates = st.floats(1e-6, 1e3)

@@ -72,6 +72,22 @@ def test_equilibrium_controlled(capsys):
     assert "-1.603571" in out  # third eigenvalue
 
 
+def test_equilibrium_controlled_under_a_floor(tmp_path, capsys):
+    # s_r* = 0.05 lies below the floor 0.1: a run is flagged, and the
+    # equilibrium is reported as without a floor
+    doc = json.loads((SCENARIO_DIR / "controlled_p055.json").read_text())
+    assert doc["control"]["p"] == 0.55
+    printed = []
+    for floor in (0.1, 0.0):
+        doc["params"]["s_r_floor"] = floor
+        path = tmp_path / f"floor_{floor}.json"
+        path.write_text(json.dumps(doc))
+        assert run(["equilibrium", "--scenario", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert len(printed[0].splitlines()) == 5
+
+
 def test_sweep(basic_scenario, capsys):
     assert run(["sweep", "--scenario", str(basic_scenario),
                 "--param", "delta_r", "--values", "0.25,0.15",

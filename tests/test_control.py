@@ -15,7 +15,7 @@ from capedu.control import (
     find_tipping, long_run_outcome, simulate_controlled, tipping_seed,
 )
 from capedu.errors import NoSignChange, ValidationError
-from capedu.model import EconState, ModelParams, production
+from capedu.model import EconState, ModelParams, output
 
 from test_oracles import closed_form_tipping_root
 
@@ -55,7 +55,7 @@ def tipping_draws(draw):
         delta_k=draw(st.floats(0.12, 0.3)), delta_r=draw(st.floats(0.12, 0.3)),
         alpha=draw(st.floats(0.15, 0.3)), beta=draw(st.floats(0.25, 0.4)))
     start = EconState(draw(st.floats(1.0, 5.0)), draw(st.floats(0.5, 2.0)))
-    root = closed_form_tipping_root(params, production(params, start))
+    root = closed_form_tipping_root(params, output(params, start.K, start.E))
     # lo = root - 0.15 u with u in [0.2, 0.8], 0.2 <= lo, hi <= 0.97 - s_k
     u_min = max(0.2, 1.0 - (0.97 - params.s_k - root) / 0.15)
     u_max = min(0.8, (root - 0.2) / 0.15)
@@ -83,7 +83,7 @@ class TestSimulateControlled:
     def test_near_tipping_output_stays_flat(self, baseline_params, start_4_1):
         traj = simulate_controlled(baseline_params, 0.47, start_4_1,
                                    0.1, 200.0, sample_step=0.5)
-        y0 = production(baseline_params, start_4_1)
+        y0 = output(baseline_params, start_4_1.K, start_4_1.E)
         assert np.max(np.abs(traj["Y"] - 1.6245) / 1.6245) < 0.02
         assert y0 == pytest.approx(1.6245, abs=1e-3)
 
@@ -200,7 +200,7 @@ class TestFindTipping:
         optimize = pytest.importorskip("scipy.optimize")
         params, start, horizon, p_low, p_high = draws
         horizon *= shorter
-        y_start = production(params, start)
+        y_start = output(params, start.K, start.E)
 
         def growth(p):
             traj = simulate_controlled(params, p, start, 0.1, horizon,
@@ -217,7 +217,7 @@ class TestFindTipping:
     def test_zero_growth_at_the_low_end_returns_it(self, baseline_params,
                                                    start_4_1):
         # a run whose output at the horizon is exactly Y(0) at p_low
-        y_start = production(baseline_params, start_4_1)
+        y_start = output(baseline_params, start_4_1.K, start_4_1.E)
 
         def flat_at_low_end(params, p, *args, **kwargs):
             return {"Y": np.array([y_start if p == 0.40 else 0.5 * y_start])}
@@ -327,6 +327,12 @@ class TestLongRunOutcome:
         grid = np.linspace(0.05, 0.55, 26)
         outputs = [long_run_outcome(baseline_params, p)[0] for p in grid]
         assert np.all(np.diff(outputs) < 0)
+
+    def test_floor_above_s_r_star_leaves_the_outcome_unchanged(
+            self, baseline_params):
+        floored = replace(baseline_params, s_r_floor=0.1)  # s_r* = 0.05
+        assert long_run_outcome(floored, 0.55) == \
+            long_run_outcome(baseline_params, 0.55)
 
     def test_consumption_non_monotone(self, baseline_params):
         c47 = long_run_outcome(baseline_params, 0.47)[1]

@@ -8,11 +8,10 @@ from capedu.model import (
     EconState,
     ModelParams,
     basic_rhs,
-    consumption,
     control_rhs,
     modulated_rhs,
     ne9_rhs,
-    production,
+    output,
 )
 
 
@@ -65,14 +64,14 @@ class TestProduction:
     def test_unit_inputs(self):
         p = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                         alpha=0.2, beta=0.35)
-        assert production(p, EconState(1.0, 1.0)) == 1.0
+        assert output(p, 1.0, 1.0) == 1.0
 
     def test_start_value(self, baseline_params):
-        assert production(baseline_params, EconState(4.0, 1.0)) == \
+        assert output(baseline_params, 4.0, 1.0) == \
             pytest.approx(1.6245048, abs=1e-6)
 
     def test_equilibrium_output(self, baseline_params):
-        y = production(baseline_params, EconState(3.8054, 0.5708))
+        y = output(baseline_params, 3.8054, 0.5708)
         assert y == pytest.approx(1.4271, abs=1e-3)
 
     def test_domain_guard(self, baseline_params):
@@ -90,27 +89,8 @@ class TestProduction:
         for _ in range(200):
             K, E = rng.uniform(0.1, 10.0, size=2)
             lam = rng.uniform(0.2, 5.0)
-            scaled = production(p, EconState(K, E * lam ** (1 / p.alpha)))
-            assert scaled == pytest.approx(lam * production(p, EconState(K, E)),
-                                           rel=1e-12)
-
-
-class TestFlows:
-    def test_consumption_values(self, baseline_params):
-        assert consumption(baseline_params, 0.13, 1.60357) == \
-            pytest.approx(0.75368, abs=1e-5)
-        assert consumption(baseline_params, 0.2, 1.94195) == \
-            pytest.approx(0.77678, abs=1e-5)
-        assert consumption(baseline_params, 0.6, 123.0) == 0.0
-
-    def test_conservation(self, baseline_params):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            s_r = rng.uniform(0.01, 0.5)
-            Y = rng.uniform(0.1, 10.0)
-            C = consumption(baseline_params, s_r, Y)
-            assert C + baseline_params.s_k * Y + s_r * Y == \
-                pytest.approx(Y, rel=1e-12)
+            scaled = output(p, K, E * lam ** (1 / p.alpha))
+            assert scaled == pytest.approx(lam * output(p, K, E), rel=1e-12)
 
 
 class TestBasicField:

@@ -21,8 +21,7 @@ from capedu.analysis import (
 from capedu.control import find_tipping, simulate_controlled
 from capedu.integrator import DEFAULT_SETTINGS, integrate
 from capedu.model import (
-    BASIC, CONTROLLED, MODULATED, EconState, ModelParams, basic_rhs,
-    production,
+    BASIC, CONTROLLED, MODULATED, EconState, ModelParams, basic_rhs, output,
 )
 from capedu.scenario_io import load_scenario, run_scenario
 
@@ -72,7 +71,7 @@ def closed_form_tipping_root(params: ModelParams, y_start: float) -> float:
 @pytest.mark.parametrize("tol", [1e-3, 0.05, 1e-6])
 def test_tipping_bracket_contains_the_closed_form_root(tol):
     params, start = ModelParams(**BASELINE), EconState(4.0, 1.0)
-    y_start = production(params, start)
+    y_start = output(params, start.K, start.E)
     root = closed_form_tipping_root(params, y_start)
     # the root is where controlled_equilibrium's output returns to Y(0)
     assert math.isclose(controlled_equilibrium(params, root).Y0, y_start,

@@ -1,8 +1,10 @@
 """The output path's bytes, pinned by sha256.
 
 Each digest was taken from the writer before it worked on whole columns,
-and each `capedu plot` digest from the renderer before it formatted the
-points in numpy; a faster writer or renderer must keep every byte.
+each `capedu plot` digest from the renderer before it formatted the
+points in numpy, and each `capedu equilibrium` digest before the controlled
+report was built in one step; a faster writer, renderer or report must keep
+every byte.
 """
 
 import hashlib
@@ -91,3 +93,36 @@ def test_sweep_csv_bytes_with_an_error_row():
     assert [r.error is None for r in rows] == [True, False, True]
     assert sha256(write_sweep_csv(rows)) == \
         "133c4218063dcaaded9be0d8e377c49f2cb6ce51ba0992248c7a4602476e5656"
+
+
+EQUILIBRIUM_DIGESTS = [
+    ("basic_baseline.json",
+     "c86ce735870179ff2fedaf2d9fa8bd878eb5074f5cd1b26ccf0950198bdbc826"),
+    ("basic_equal_start.json",
+     "c86ce735870179ff2fedaf2d9fa8bd878eb5074f5cd1b26ccf0950198bdbc826"),
+    ("basic_invariant_line.json",
+     "9195017c99024a64170e3b41098595d6a9a3bd3a1d23932c5a02d88ac015627f"),
+    ("chaotic_minus.json",
+     "8f05f85aedffe425a61e681e4efb48ca23e5623089262ed84e809dcd216a1e21"),
+    ("chaotic_off.json",
+     "8f05f85aedffe425a61e681e4efb48ca23e5623089262ed84e809dcd216a1e21"),
+    ("chaotic_plus.json",
+     "8f05f85aedffe425a61e681e4efb48ca23e5623089262ed84e809dcd216a1e21"),
+    ("controlled_p04.json",
+     "d88175af9c840f14579616a9a2c9a49dfcf41f85d8e03b4c82e9bbf0852cc386"),
+    ("controlled_p047.json",
+     "f194b1c03aae1e0b590282695d2d28cbba9bd44f662d068f6a4d52a5e97a8bb2"),
+    ("controlled_p055.json",
+     "a65f5c7365ecac4107b1eccaf512f1c22af602c6660a71c80761d9f0efcf9722"),
+]
+
+
+def test_every_scenario_has_an_equilibrium_digest():
+    assert sorted(name for name, _ in EQUILIBRIUM_DIGESTS) == \
+        sorted(path.name for path in SCENARIO_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name,digest", EQUILIBRIUM_DIGESTS)
+def test_cli_equilibrium_bytes(name, digest, capsys):
+    assert run(["equilibrium", "--scenario", str(SCENARIO_DIR / name)]) == 0
+    assert sha256(capsys.readouterr().out) == digest
