@@ -69,7 +69,9 @@ def tipping_seed(params: ModelParams, econ0: EconState, s_r0: float,
     lambda1 < 0 is the slowest rate, -Y0 included.  ln Y = alpha ln E +
     beta ln K is off by at most alpha + beta times that, and
     dp / d ln Y0 = (1 - alpha - beta) s_r* / alpha turns it into a p.
+    s_r0 must be finite and positive.
     """
+    require_positive("s_r0", s_r0)
     try:
         p_inf = tipping_root(params, output(params, econ0.K, econ0.E))
         report = controlled_equilibrium(params, p_inf)
@@ -98,21 +100,20 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
 
     dY(p) = Y(horizon; p) - Y(0) must change sign over the bracket, else
     NoSignChange.  horizon, then tol (a NaN tol would end the search) must be
-    finite and positive, then both ends must pass check_target.
+    finite and positive, then both ends must pass check_target, then s_r0
+    must be finite and positive.
 
-    After the two end runs the search tries a seed: the pair p_inf -+ tol/2
-    around the closed-form root of an infinite horizon (tipping_seed), when
-    ITP's interior budget ceil(log2(W / tol)) for a bracket W wide is at
-    least 3, the pair lies inside the bracket and the bound on the root's
-    distance from p_inf is below tol/2.  A pair whose growths differ in sign
-    is the result, 4 runs in all.  Otherwise, and from whatever bracket the
-    pair has narrowed, the search is ITP (Oliveira & Takahashi 2021) with
-    kappa1 = 0.2 / W, kappa2 = 2 and n0 = 0: at most bisection's
-    2 + ceil(log2(W / tol)) runs, fewer on a smooth dY.  With the seed's
-    gate closed it makes the same runs as without a seed; a pair that missed
-    the root, which the bound rules out, would cost up to two runs more.
-    The search stops once the bracket is at most tol wide or holds no
-    double; p_star is the midpoint of the final bracket.
+    The search first runs the pair p_inf -+ tol/2 around the closed-form
+    root of an infinite horizon (tipping_seed), when the pair lies inside
+    the bracket and the bound on the root's distance from p_inf is below
+    tol/2.  A pair whose growths differ in sign is the result, 2 runs in
+    all.  Otherwise it runs the two ends, and from what a missed pair left
+    searches by ITP (Oliveira & Takahashi 2021) with kappa1 = 0.2 / W,
+    kappa2 = 2 and n0 = 0: at most bisection's 2 + ceil(log2(W / tol)) runs
+    for a bracket W wide, fewer on a smooth dY, and up to two more after a
+    missed pair, which the bound rules out.  The search stops once the
+    bracket is at most tol wide or holds no double; p_star is its midpoint,
+    or an end whose growth is exactly 0.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
@@ -120,6 +121,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     check_target(params, p_high)
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
+    require_positive("s_r0", s_r0)
     y_start = output(params, econ0.K, econ0.E)
 
     def growth(p: float) -> float:
@@ -128,27 +130,35 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
                                    settings, sample_step=horizon)
         return float(traj["Y"][-1]) - y_start
 
+    def result(lo: float, hi: float, g_lo: float, g_hi: float
+               ) -> TippingResult:
+        p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
+        return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
+
+    p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
+    x1 = p_inf - 0.5 * tol
+    x2 = x1 + tol
+    while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
+        x2 = math.nextafter(x2, x1)
+    seeded = gap < 0.5 * tol and p_low < x1 < x2 < p_high
+    if seeded:
+        g1, g2 = growth(x1), growth(x2)
+        if g1 == 0.0 or g2 == 0.0 or np.sign(g1) != np.sign(g2):
+            return result(x1, x2, g1, g2)
+
     g_low, g_high = growth(p_low), growth(p_high)
-    if g_low == 0.0:
-        return TippingResult(p_low, (p_low, p_high), (g_low, g_high), horizon)
-    if g_high == 0.0:
-        return TippingResult(p_high, (p_low, p_high), (g_low, g_high), horizon)
+    if g_low == 0.0 or g_high == 0.0:
+        return result(p_low, p_high, g_low, g_high)
     if np.sign(g_low) == np.sign(g_high):
         raise NoSignChange(
             f"growth has the same sign at both ends: {g_low:.4g}, {g_high:.4g}")
 
     lo, hi, g_lo, g_hi = p_low, p_high, g_low, g_high
-    seed = ()
-    # with ITP's interior budget ceil(log2(W / tol)) at 2 or less, the pair
-    # cannot save a run
-    if math.log2(hi - lo) - math.log2(tol) > 2:
-        p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
-        x1 = p_inf - 0.5 * tol
-        x2 = x1 + tol
-        while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
-            x2 = math.nextafter(x2, x1)
-        if gap < 0.5 * tol and lo < x1 < x2 < hi:
-            seed = (x1, x2)
+    if seeded:  # the root lies beyond the missed pair, on one side
+        if np.sign(g1) == np.sign(g_lo):
+            lo, g_lo = x2, g2
+        else:
+            hi, g_hi = x1, g1
 
     def split(x: float) -> None:
         """Run x; keep the part of [lo, hi] where the growth changes sign."""
@@ -162,12 +172,8 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         else:
             hi, g_hi = x, g_x
 
-    for x in seed:
-        if lo < x < hi:  # a first run above the root leaves out the second
-            split(x)
     width = hi - lo  # ITP starts on what the seed left
-    # W / tol may overflow; an exact zero of the seed leaves W = 0
-    n = math.ceil(math.log2(max(width, tol)) - math.log2(tol))
+    n = math.ceil(math.log2(width) - math.log2(tol))  # W / tol may overflow
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -180,8 +186,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         x = x if lo < x < hi else mid
         split(x)
         n -= 1
-    return TippingResult(p_star=0.5 * (lo + hi), bracket=(lo, hi),
-                         growth_at_bracket=(g_lo, g_hi), horizon_used=horizon)
+    return result(lo, hi, g_lo, g_hi)
 
 
 def long_run_outcome(params: ModelParams, p: float) -> tuple[float, float]:

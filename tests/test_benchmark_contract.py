@@ -78,15 +78,19 @@ CONTROLLED = str(SCENARIOS / "controlled_p047.json")
     # a tolerance wider than the bracket searches nothing: one run per end
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "1", "--horizon", "20"), 2),
-    # criterion 6's search: its 2 ends and the 2 seed runs around the
-    # closed-form root, where ITP made 6 and bisection 10
+    # criterion 6's search: the 2 seed runs around the closed-form root
+    # hold the root and the ends never run, where ITP made 6 and bisection 10
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
-          "--p-max", "0.55", "--tol", "1e-3"), 4),
+          "--p-max", "0.55", "--tol", "1e-3"), 2),
+    # the same search at dense_chaos's tol 0.05, where ITP made 4
+    (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
+          "--p-max", "0.55", "--tol", "0.05"), 2),
     (_cli("phase", "--scenario", BASIC, "--k-range", "1:6",
           "--e-range", "0.5:3", "--grid", "2x2", "--horizon", "5"), 4),
     (_chaotic_scenario_built_in_code(), 1),
 ], ids=["basic", "controlled", "chaotic", "chaos", "sweep", "tipping",
-        "tipping-crit6", "phase", "chaotic-built-in-code"])
+        "tipping-crit6", "tipping-tol-0.05", "phase",
+        "chaotic-built-in-code"])
 def test_trace_sees_every_run(run, runs, capsys):
     # the trace counts runs through the integrate attributes it wraps; a run
     # that reaches the integrator another way would be missing from it

@@ -124,29 +124,39 @@ class TestFindTipping:
         assert g_lo * g_hi < 0
         assert result.horizon_used == 200.0
 
-    def test_crit_6_search_makes_four_runs(self, baseline_params, start_4_1):
-        # the 2 ends, then the seed pair around the closed-form root, which
-        # holds the root; ITP made 6 and bisection 2 + ceil(log2(150)) = 10
-        with counted_runs(4) as runs:
+    def test_crit_6_search_makes_two_runs(self, baseline_params, start_4_1):
+        # the seed pair around the closed-form root holds the root, so the
+        # ends never run; ITP made 6 and bisection 2 + ceil(log2(150)) = 10
+        with counted_runs(2) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
-        assert len(runs) == 4
+        assert len(runs) == 2
         assert result.bracket[1] - result.bracket[0] <= 1e-3
 
     def test_seed_pair_is_the_bracket(self, baseline_params, start_4_1):
         p_inf, gap = tipping_seed(baseline_params, start_4_1, 0.1, 200.0)
         assert gap < 0.5e-3
         # p_inf +- tol/2 rounds to a pair wider than tol, which would cost
-        # a fifth run; the search steps its upper end down
+        # a third run; the search steps its upper end down
         assert (p_inf + 0.5e-3) - (p_inf - 0.5e-3) > 1e-3
-        with counted_runs(4) as runs:
+        with counted_runs(2) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
         lo, hi = result.bracket
-        assert runs == [0.40, 0.55, lo, hi]
+        assert runs == [lo, hi]
         assert lo == p_inf - 0.5e-3 and hi - lo <= 1e-3
         assert math.nextafter(hi, math.inf) - lo > 1e-3
         assert result.p_star == 0.5 * (lo + hi)
+
+    def test_seed_pair_settles_a_wide_tol(self, baseline_params, start_4_1):
+        # at tol 0.05 ITP needs 2 interior runs, 4 in all: [0.4, 0.55,
+        # 0.475, 0.45] with the bracket (0.45, 0.475); the pair takes 2
+        with counted_runs(2) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=0.05)
+        bracket = (0.44115043307000024, 0.4911504330700002)
+        assert runs == list(bracket) and result.bracket == bracket
+        assert result.p_star == 0.5 * (bracket[0] + bracket[1])
 
     def test_seed_needs_a_stable_equilibrium_at_p_inf(self, baseline_params,
                                                       start_4_1):
@@ -163,8 +173,7 @@ class TestFindTipping:
 
     # the runs and results the search made before it had a seed; the seed's
     # gate stays closed where the bound on the root's distance from p_inf is
-    # not below tol / 2 (T = 20 and 50; T = 200 at tol 1e-6), or where ITP
-    # needs at most 2 interior runs (tol 0.05)
+    # not below tol / 2 (T = 20 and 50; T = 200 at tol 1e-6)
     @pytest.mark.parametrize("horizon,tol,runs,bracket", [
         (20.0, 1e-3, [0.4, 0.55, 0.47500000000000003, 0.45568301459831245,
                       0.46477736153318666, 0.464354220344709],
@@ -172,8 +181,6 @@ class TestFindTipping:
         (50.0, 1e-3, [0.4, 0.55, 0.47500000000000003, 0.4573705498189509,
                       0.4661852749094755, 0.4658960830883987],
          (0.4658960830883987, 0.4661852749094755)),
-        (200.0, 0.05, [0.4, 0.55, 0.47500000000000003, 0.45],
-         (0.45, 0.47500000000000003)),
         (200.0, 1e-6, [0.4, 0.55, 0.47500000000000003, 0.4575344116493559,
                        0.46626720582467795, 0.4660466920737662,
                        0.46615047112407154, 0.46615041706142046],
@@ -214,6 +221,30 @@ class TestFindTipping:
         if shorter == 1.0:
             assert gap < 0.5e-3
 
+    @settings(max_examples=30, deadline=None)
+    @given(draws=tipping_draws(), tol=st.floats(1e-3, 0.1))
+    def test_seed_pair_returns_only_where_the_ends_change_sign(self, draws,
+                                                              tol):
+        # a search that ends after the pair's 2 runs never ran its ends;
+        # the search that runs them first would have found the same root
+        optimize = pytest.importorskip("scipy.optimize")
+        params, start, horizon, p_low, p_high = draws
+        with counted_runs(bisection_runs(p_high - p_low, tol) + 2) as runs:
+            result = find_tipping(params, start, 0.1, horizon, p_low, p_high,
+                                  tol=tol)
+        assume(len(runs) == 2)
+        y_start = output(params, start.K, start.E)
+
+        def growth(p):
+            traj = simulate_controlled(params, p, start, 0.1, horizon,
+                                       sample_step=horizon)
+            return float(traj["Y"][-1]) - y_start
+
+        assert growth(p_low) * growth(p_high) < 0
+        root = optimize.brentq(growth, p_low, p_high, xtol=1e-15)
+        lo, hi = result.bracket
+        assert p_low < lo <= root <= hi < p_high
+
     def test_zero_growth_at_the_low_end_returns_it(self, baseline_params,
                                                    start_4_1):
         # a run whose output at the horizon is exactly Y(0) at p_low
@@ -222,13 +253,39 @@ class TestFindTipping:
         def flat_at_low_end(params, p, *args, **kwargs):
             return {"Y": np.array([y_start if p == 0.40 else 0.5 * y_start])}
 
+        # the flat growth misses the seed pair, so the ends run after it
+        x1, x2 = find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40,
+                              0.55, tol=1e-3).bracket
         with mock.patch.object(control, "simulate_controlled",
-                               flat_at_low_end), counted_runs(2) as runs:
+                               flat_at_low_end), counted_runs(4) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
-        assert runs == [0.40, 0.55]
+        assert runs == [x1, x2, 0.40, 0.55]
         assert result.p_star == 0.40 and result.bracket == (0.40, 0.55)
         assert result.growth_at_bracket == (0.0, -0.5 * y_start)
+
+    @pytest.mark.parametrize("root", [0.42, 0.5])
+    def test_missed_pair_narrows_the_bracket(self, baseline_params,
+                                             start_4_1, root):
+        # a growth whose root lies outside the pair, below or above it
+        y_start = output(baseline_params, start_4_1.K, start_4_1.E)
+
+        def linear(params, p, *args, **kwargs):
+            return {"Y": np.array([y_start + root - p])}
+
+        x1, x2 = find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40,
+                              0.55, tol=1e-3).bracket
+        with mock.patch.object(control, "simulate_controlled", linear), \
+                counted_runs(bisection_runs(0.15, 1e-3) + 2) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=1e-3)
+        assert runs[:4] == [x1, x2, 0.40, 0.55]
+        # ITP starts on the side of the pair that holds the root; truncation
+        # moves its first point onto the midpoint there
+        narrowed = (x2, 0.55) if root > x2 else (0.40, x1)
+        assert runs[4] == 0.5 * (narrowed[0] + narrowed[1])
+        lo, hi = result.bracket
+        assert lo <= root <= hi and hi - lo <= 1e-3
 
     @pytest.mark.parametrize("tol", [1e-17, 5e-324])
     def test_tol_below_the_spacing_of_doubles_ends(self, baseline_params,

@@ -14,7 +14,9 @@ import pytest
 
 from capedu.analysis import controlled_equilibrium
 from capedu.cli import run
-from capedu.control import check_control, find_tipping, long_run_outcome
+from capedu.control import (
+    check_control, find_tipping, long_run_outcome, tipping_seed,
+)
 from capedu.errors import ValidationError
 from capedu.integrator import IntegratorSettings, integrate
 from capedu.model import EconState, ModelParams
@@ -55,6 +57,11 @@ LIBRARY = {
         PARAMS, START, 0.1, 200.0, 0.40, 0.55, tol=v)),
     "find_tipping.horizon": ("horizon", lambda v: find_tipping(
         PARAMS, START, 0.1, v, 0.40, 0.55)),
+    # both check s_r0 before the seed takes its logarithm
+    "find_tipping.s_r0": ("s_r0", lambda v: find_tipping(
+        PARAMS, START, v, 200.0, 0.40, 0.55)),
+    "tipping_seed.s_r0": ("s_r0", lambda v: tipping_seed(
+        PARAMS, START, v, 200.0)),
     "phase_portrait.horizon": ("horizon", lambda v: phase_portrait(
         PARAMS, (1, 2), (0.5, 1), (2, 2), horizon=v)),
     # the run length t1 - t0 is the horizon
