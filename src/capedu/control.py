@@ -103,17 +103,16 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     finite and positive, then both ends must pass check_target, then s_r0
     must be finite and positive.
 
-    The search first runs the pair p_inf -+ tol/2 around the closed-form
-    root of an infinite horizon (tipping_seed), when the pair lies inside
-    the bracket and the bound on the root's distance from p_inf is below
-    tol/2.  A pair whose growths differ in sign is the result, 2 runs in
-    all.  Otherwise it runs the two ends, and from what a missed pair left
-    searches by ITP (Oliveira & Takahashi 2021) with kappa1 = 0.2 / W,
-    kappa2 = 2 and n0 = 0: at most bisection's 2 + ceil(log2(W / tol)) runs
-    for a bracket W wide, fewer on a smooth dY, and up to two more after a
-    missed pair, which the bound rules out.  The search stops once the
-    bracket is at most tol wide or holds no double; p_star is its midpoint,
-    or an end whose growth is exactly 0.
+    When the pair p_inf -+ tol/2 around the closed-form root of an infinite
+    horizon (tipping_seed) lies inside the bracket and the bound on the
+    root's distance from p_inf is below tol/2, the search runs that pair
+    first, and a pair whose growths differ in sign is the result: 2 runs.
+    Otherwise it runs the two ends and searches by ITP (Oliveira & Takahashi
+    2021) with kappa1 = 0.2 / W, kappa2 = 2 and n0 = 0: at most bisection's
+    2 + ceil(log2(W / tol)) runs for a bracket W wide, fewer on a smooth dY,
+    and the pair's 2 more after a missed pair, which the bound rules out.
+    The search stops once the bracket is at most tol wide or holds no
+    double; p_star is its midpoint, or an end whose growth is exactly 0.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
@@ -121,7 +120,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     check_target(params, p_high)
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
-    require_positive("s_r0", s_r0)
+    p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
     y_start = output(params, econ0.K, econ0.E)
 
     def growth(p: float) -> float:
@@ -135,44 +134,24 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
         return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
 
-    p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
     x1 = p_inf - 0.5 * tol
     x2 = x1 + tol
     while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
         x2 = math.nextafter(x2, x1)
-    seeded = gap < 0.5 * tol and p_low < x1 < x2 < p_high
-    if seeded:
+    if gap < 0.5 * tol and p_low < x1 < x2 < p_high:
         g1, g2 = growth(x1), growth(x2)
         if g1 == 0.0 or g2 == 0.0 or np.sign(g1) != np.sign(g2):
             return result(x1, x2, g1, g2)
 
-    g_low, g_high = growth(p_low), growth(p_high)
-    if g_low == 0.0 or g_high == 0.0:
-        return result(p_low, p_high, g_low, g_high)
-    if np.sign(g_low) == np.sign(g_high):
+    lo, hi = p_low, p_high
+    g_lo, g_hi = growth(lo), growth(hi)
+    if g_lo == 0.0 or g_hi == 0.0:
+        return result(lo, hi, g_lo, g_hi)
+    if np.sign(g_lo) == np.sign(g_hi):
         raise NoSignChange(
-            f"growth has the same sign at both ends: {g_low:.4g}, {g_high:.4g}")
+            f"growth has the same sign at both ends: {g_lo:.4g}, {g_hi:.4g}")
 
-    lo, hi, g_lo, g_hi = p_low, p_high, g_low, g_high
-    if seeded:  # the root lies beyond the missed pair, on one side
-        if np.sign(g1) == np.sign(g_lo):
-            lo, g_lo = x2, g2
-        else:
-            hi, g_hi = x1, g1
-
-    def split(x: float) -> None:
-        """Run x; keep the part of [lo, hi] where the growth changes sign."""
-        nonlocal lo, hi, g_lo, g_hi
-        g_x = growth(x)
-        if g_x == 0.0:
-            lo = hi = x
-            g_lo = g_hi = g_x
-        elif np.sign(g_x) == np.sign(g_lo):
-            lo, g_lo = x, g_x
-        else:
-            hi, g_hi = x, g_x
-
-    width = hi - lo  # ITP starts on what the seed left
+    width = hi - lo
     n = math.ceil(math.log2(width) - math.log2(tol))  # W / tol may overflow
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -184,7 +163,13 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         radius = math.ldexp(tol, n - 1) - 0.5 * (hi - lo)  # 2.0**n overflows
         x = min(max(x, mid - radius), mid + radius)  # project
         x = x if lo < x < hi else mid
-        split(x)
+        g_x = growth(x)
+        if g_x == 0.0:
+            return result(x, x, g_x, g_x)
+        if np.sign(g_x) == np.sign(g_lo):
+            lo, g_lo = x, g_x
+        else:
+            hi, g_hi = x, g_x
         n -= 1
     return result(lo, hi, g_lo, g_hi)
 

@@ -13,6 +13,8 @@ import pytest
 
 from capedu import cli, scenario_io
 
+from test_control import counted_runs
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SCENARIOS = ROOT / "scenarios"
@@ -121,3 +123,32 @@ def test_benchmark_selfcheck_passes(monkeypatch, tmp_path, capsys):
         tracer.uninstall()
     bench.tracing.assert_untraced()
     assert problems == []
+
+
+@pytest.mark.parametrize("workload,seeded", [
+    ("ensemble", True), ("dense_chaos", True), ("render_io", False)])
+def test_benchmark_searches_make_two_runs(workload, seeded, monkeypatch,
+                                          tmp_path):
+    # every tipping search the benchmark makes ends after 2 controlled runs:
+    # the seed pair inside the bracket, or, where tol is wider than the
+    # bracket, its two ends; a search that falls back to the ends and ITP
+    # after a missed pair would fail here before it moved tipping_ms
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
+    workloads = _load_perfbench("run").workloads
+    for seed in (1, 2, 3):
+        directory = tmp_path / str(seed)
+        directory.mkdir()
+        ops = workloads.generate(workload, seed, str(directory))
+        searches = [op for op in ops if op.cmd == "tipping"]
+        assert searches
+        for op in searches:
+            with counted_runs(2) as runs:
+                assert cli.run(op.argv) == 0
+            op.check(op.out)
+            lo, hi, tol = (float(op.argv[op.argv.index(flag) + 1])
+                           for flag in ("--p-min", "--p-max", "--tol"))
+            if seeded:
+                assert len(runs) == 2 and lo < runs[0] < runs[1] < hi
+                assert runs[1] - runs[0] <= tol
+            else:
+                assert runs == [lo, hi]

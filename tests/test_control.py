@@ -265,8 +265,8 @@ class TestFindTipping:
         assert result.growth_at_bracket == (0.0, -0.5 * y_start)
 
     @pytest.mark.parametrize("root", [0.42, 0.5])
-    def test_missed_pair_narrows_the_bracket(self, baseline_params,
-                                             start_4_1, root):
+    def test_missed_pair_falls_back_to_the_unseeded_search(
+            self, baseline_params, start_4_1, root):
         # a growth whose root lies outside the pair, below or above it
         y_start = output(baseline_params, start_4_1.K, start_4_1.E)
 
@@ -275,15 +275,18 @@ class TestFindTipping:
 
         x1, x2 = find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40,
                               0.55, tol=1e-3).bracket
-        with mock.patch.object(control, "simulate_controlled", linear), \
-                counted_runs(bisection_runs(0.15, 1e-3) + 2) as runs:
-            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
-                                  0.40, 0.55, tol=1e-3)
-        assert runs[:4] == [x1, x2, 0.40, 0.55]
-        # ITP starts on the side of the pair that holds the root; truncation
-        # moves its first point onto the midpoint there
-        narrowed = (x2, 0.55) if root > x2 else (0.40, x1)
-        assert runs[4] == 0.5 * (narrowed[0] + narrowed[1])
+        bound = bisection_runs(0.15, 1e-3)
+        with mock.patch.object(control, "simulate_controlled", linear):
+            # at T = 20 the seed's bound closes the gate: no pair runs
+            with counted_runs(bound) as unseeded:
+                fallback = find_tipping(baseline_params, start_4_1, 0.1, 20.0,
+                                        0.40, 0.55, tol=1e-3)
+            with counted_runs(bound + 2) as runs:
+                result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                      0.40, 0.55, tol=1e-3)
+        assert unseeded[:2] == [0.40, 0.55]
+        assert runs == [x1, x2] + unseeded
+        assert result.bracket == fallback.bracket
         lo, hi = result.bracket
         assert lo <= root <= hi and hi - lo <= 1e-3
 
@@ -357,6 +360,22 @@ class TestFindTipping:
             find_tipping(baseline_params, start_4_1, 0.1, 200.0, p_low,
                          p_high)
         assert str(info.value) == f"p: need 0 < p < 1 - s_k, got p={bad}"
+
+    @pytest.mark.parametrize("s_r0", [0.0, -2.5, math.nan, math.inf])
+    def test_s_r0_is_checked_after_the_other_inputs_before_any_run(
+            self, baseline_params, start_4_1, s_r0):
+        with counted_runs(0), pytest.raises(ValidationError) as info:
+            find_tipping(baseline_params, start_4_1, s_r0, 200.0, 0.40, 0.55)
+        assert str(info.value) == \
+            f"s_r0: must be finite and positive, got {s_r0}"
+        # a bad horizon, tol or bracket end is reported ahead of it
+        for horizon, tol, p_low, field in ((-1.0, 1e-3, 0.40, "horizon"),
+                                           (200.0, math.nan, 0.40, "tol"),
+                                           (200.0, 1e-3, 0.6, "p")):
+            with counted_runs(0), pytest.raises(ValidationError) as info:
+                find_tipping(baseline_params, start_4_1, s_r0, horizon,
+                             p_low, 0.55, tol)
+            assert info.value.field == field
 
     def test_horizon_and_tol_are_checked_before_the_ends(self, baseline_params,
                                                          start_4_1):

@@ -57,7 +57,8 @@ LIBRARY = {
         PARAMS, START, 0.1, 200.0, 0.40, 0.55, tol=v)),
     "find_tipping.horizon": ("horizon", lambda v: find_tipping(
         PARAMS, START, 0.1, v, 0.40, 0.55)),
-    # both check s_r0 before the seed takes its logarithm
+    # the seed checks s_r0 before it takes its logarithm; find_tipping
+    # leaves the check to the seed
     "find_tipping.s_r0": ("s_r0", lambda v: find_tipping(
         PARAMS, START, v, 200.0, 0.40, 0.55)),
     "tipping_seed.s_r0": ("s_r0", lambda v: tipping_seed(
