@@ -104,7 +104,8 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     must be finite and positive.
 
     When the pair p_inf -+ tol/2 around the closed-form root of an infinite
-    horizon (tipping_seed) lies inside the bracket and the bound on the
+    horizon (tipping_seed, computed only for a bracket wider than tol,
+    where the pair can fit) lies inside the bracket and the bound on the
     root's distance from p_inf is below tol/2, the search runs that pair
     first, and a pair whose growths differ in sign is the result: 2 runs.
     Otherwise it runs the two ends and searches by ITP (Oliveira & Takahashi
@@ -120,7 +121,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     check_target(params, p_high)
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
-    p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
+    require_positive("s_r0", s_r0)
     y_start = output(params, econ0.K, econ0.E)
 
     def growth(p: float) -> float:
@@ -134,14 +135,16 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
         return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
 
-    x1 = p_inf - 0.5 * tol
-    x2 = x1 + tol
-    while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
-        x2 = math.nextafter(x2, x1)
-    if gap < 0.5 * tol and p_low < x1 < x2 < p_high:
-        g1, g2 = growth(x1), growth(x2)
-        if g1 == 0.0 or g2 == 0.0 or np.sign(g1) != np.sign(g2):
-            return result(x1, x2, g1, g2)
+    if p_high - p_low > tol:  # only a wider bracket can hold the pair
+        p_inf, gap = tipping_seed(params, econ0, s_r0, horizon, settings)
+        x1 = p_inf - 0.5 * tol
+        x2 = x1 + tol
+        while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
+            x2 = math.nextafter(x2, x1)
+        if gap < 0.5 * tol and p_low < x1 < x2 < p_high:
+            g1, g2 = growth(x1), growth(x2)
+            if g1 == 0.0 or g2 == 0.0 or np.sign(g1) != np.sign(g2):
+                return result(x1, x2, g1, g2)
 
     lo, hi = p_low, p_high
     g_lo, g_hi = growth(lo), growth(hi)

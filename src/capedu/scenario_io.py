@@ -508,11 +508,20 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
 
 
 def write_phase_csv(portrait: PhasePortrait) -> str:
-    """Field samples and orbit polylines in one flat table."""
+    """Field samples and orbit polylines in one flat table; the t cells of
+    each distinct sample grid are formatted once, keyed on its bits."""
     lines = ["record,index,t,K,E,dK,dE"]
     for i, row in enumerate(portrait.field_samples.tolist()):
         lines.append(f"field,{i},," + ",".join(map(repr, row)))
+    grids = {}
     for j, traj in enumerate(portrait.trajectories):
-        lines += [f"orbit,{j},{t!r},{K!r},{E!r},," for t, (K, E)
-                  in zip(traj.times.tolist(), traj.states.tolist())]
+        key = traj.times.tobytes()
+        if key not in grids:
+            grids[key] = list(map(repr, traj.times.tolist()))
+        K, E = traj.states.T.tolist()
+        head = f"orbit,{j},"
+        rows = f",,\n{head}".join(
+            map(",".join, zip(grids[key], map(repr, K), map(repr, E))))
+        if rows:  # an orbit without samples has no rows
+            lines.append(head + rows + ",,")
     return "\n".join(lines) + "\n"

@@ -290,6 +290,58 @@ class TestFindTipping:
         lo, hi = result.bracket
         assert lo <= root <= hi and hi - lo <= 1e-3
 
+    @pytest.mark.parametrize("tol", [0.55 - 0.40, 0.3])
+    def test_no_seed_where_the_pair_cannot_fit(self, baseline_params,
+                                               start_4_1, tol):
+        # the seed pair is tol wide, so a bracket no wider never holds it:
+        # the ends run, and their bracket and growths are the result
+        with mock.patch.object(control, "tipping_seed") as seed, \
+                counted_runs(2) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
+                                  0.40, 0.55, tol=tol)
+        seed.assert_not_called()
+        assert runs == [0.40, 0.55]
+        assert result.bracket == (0.40, 0.55)
+        assert result.growth_at_bracket == (0.31744448030069217,
+                                            -0.575794039880205)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.floats(0.01, 0.59), min_size=2, max_size=2,
+                         unique=True).map(sorted),
+           tol_steps=st.integers(-4, 4), root_steps=st.integers(-4, 4))
+    # p_low + tol rounds to p_high here, yet the pair fits
+    @example(ends=[0.0429655794896161, 0.501711069211014], tol_steps=-1,
+             root_steps=0)
+    def test_a_skipped_seed_never_had_a_pair_to_run(self, ends, tol_steps,
+                                                    root_steps):
+        # a tol and a root p_inf within a few doubles of the bracket's width
+        # and midpoint, with the gate open: wherever the pair would lie
+        # inside the bracket, the seed is computed and the pair runs
+        p_low, p_high = ends
+        tol, p_inf = p_high - p_low, 0.5 * (p_low + p_high)
+        for _ in range(abs(tol_steps)):
+            tol = math.nextafter(tol, math.copysign(math.inf, tol_steps))
+        for _ in range(abs(root_steps)):
+            p_inf = math.nextafter(p_inf, math.copysign(math.inf, root_steps))
+        x1 = p_inf - 0.5 * tol
+        x2 = x1 + tol
+        while x2 - x1 > tol:
+            x2 = math.nextafter(x2, x1)
+
+        def linear(params, p, *args, **kwargs):
+            return {"Y": np.array([1.0 + p_inf - p])}
+
+        params = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
+                             alpha=0.2, beta=0.35)
+        start = EconState(1.0, 1.0)  # Y(0) = 1
+        with mock.patch.object(control, "tipping_seed",
+                               return_value=(p_inf, 0.0)), \
+                mock.patch.object(control, "simulate_controlled", linear), \
+                counted_runs(bisection_runs(p_high - p_low, tol)) as runs:
+            find_tipping(params, start, 0.1, 200.0, p_low, p_high, tol=tol)
+        fits = p_low < x1 < x2 < p_high
+        assert runs[:2] == ([x1, x2] if fits else [p_low, p_high])
+
     @pytest.mark.parametrize("tol", [1e-17, 5e-324])
     def test_tol_below_the_spacing_of_doubles_ends(self, baseline_params,
                                                   start_4_1, tol, capsys):
@@ -364,10 +416,13 @@ class TestFindTipping:
     @pytest.mark.parametrize("s_r0", [0.0, -2.5, math.nan, math.inf])
     def test_s_r0_is_checked_after_the_other_inputs_before_any_run(
             self, baseline_params, start_4_1, s_r0):
-        with counted_runs(0), pytest.raises(ValidationError) as info:
-            find_tipping(baseline_params, start_4_1, s_r0, 200.0, 0.40, 0.55)
-        assert str(info.value) == \
-            f"s_r0: must be finite and positive, got {s_r0}"
+        # a tol wider than the bracket computes no seed, and checks it alike
+        for tol in (1e-3, 0.3):
+            with counted_runs(0), pytest.raises(ValidationError) as info:
+                find_tipping(baseline_params, start_4_1, s_r0, 200.0, 0.40,
+                             0.55, tol)
+            assert str(info.value) == \
+                f"s_r0: must be finite and positive, got {s_r0}"
         # a bad horizon, tol or bracket end is reported ahead of it
         for horizon, tol, p_low, field in ((-1.0, 1e-3, 0.40, "horizon"),
                                            (200.0, math.nan, 0.40, "tol"),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from capedu import scenario_io
 from capedu.errors import CapEduError, EmptySeries, ParseError, ValidationError
-from capedu.integrator import CHAOS_SETTINGS, IntegratorSettings
+from capedu.integrator import CHAOS_SETTINGS, IntegratorSettings, RawTrajectory
 from capedu.model import ModelParams
 from capedu.scenario_io import (
     _FIXED2_MIN_POINTS,
@@ -945,7 +945,66 @@ class TestPointFormatter:
         assert scenario_io._points(x, y) == reference_points(x, y)
 
 
+def reference_phase_csv(portrait):
+    """write_phase_csv as one f-string per orbit row."""
+    lines = ["record,index,t,K,E,dK,dE"]
+    for i, row in enumerate(portrait.field_samples.tolist()):
+        lines.append(f"field,{i},," + ",".join(map(repr, row)))
+    for j, traj in enumerate(portrait.trajectories):
+        lines += [f"orbit,{j},{t!r},{K!r},{E!r},," for t, (K, E)
+                  in zip(traj.times.tolist(), traj.states.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+# every double, and the ones whose text is easy to get wrong
+doubles = st.one_of(st.floats(), st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 3.0, -1e300,
+     1.7976931348623157e308, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def portraits(draw):
+    """2-5 orbits of 1-40 samples, on one shared grid or on one each."""
+    n = draw(st.integers(1, 40))
+    grid = draw(st.lists(doubles, min_size=n, max_size=n))
+    shared = draw(st.booleans())
+    orbits = []
+    for _ in range(draw(st.integers(2, 5))):
+        times = grid if shared else draw(st.lists(doubles, min_size=1,
+                                                  max_size=40))
+        states = draw(st.lists(st.tuples(doubles, doubles),
+                               min_size=len(times), max_size=len(times)))
+        orbits.append(RawTrajectory(np.array(times, float),
+                                    np.array(states, float)))
+    field = draw(st.lists(st.tuples(*[doubles] * 4), min_size=1,
+                          max_size=4))
+    return scenario_io.PhasePortrait(np.array(field, float), tuple(orbits),
+                                     None)
+
+
 class TestPhasePortrait:
+    @settings(max_examples=100, deadline=None)
+    @given(portraits())
+    def test_phase_csv_matches_the_per_row_writer(self, portrait):
+        assert write_phase_csv(portrait) == reference_phase_csv(portrait)
+
+    def test_phase_csv_keeps_grids_that_differ_only_in_sign(self):
+        # 0.0 and -0.0 compare equal but are written apart
+        orbits = tuple(RawTrajectory(np.array([t, 1.0]), np.ones((2, 2)))
+                       for t in (0.0, -0.0, 0.0))
+        portrait = scenario_io.PhasePortrait(np.ones((1, 4)), orbits, None)
+        text = write_phase_csv(portrait)
+        assert text == reference_phase_csv(portrait)
+        assert "orbit,1,-0.0,1.0,1.0,," in text.split("\n")
+
+    def test_phase_csv_orbit_without_samples_has_no_rows(self):
+        orbits = (RawTrajectory(np.empty(0), np.empty((0, 2))),
+                  RawTrajectory(np.array([0.0]), np.ones((1, 2))))
+        portrait = scenario_io.PhasePortrait(np.ones((1, 4)), orbits, None)
+        assert write_phase_csv(portrait) == reference_phase_csv(portrait) \
+            == "record,index,t,K,E,dK,dE\nfield,0,,1.0,1.0,1.0,1.0\n" \
+            "orbit,1,0.0,1.0,1.0,,\n"
+
     def test_all_orbits_reach_equilibrium(self, baseline_params):
         portrait = phase_portrait(baseline_params, (0.5, 8.0), (0.1, 2.0),
                                   grid=(3, 3), horizon=300.0)
