@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, NonFiniteState, StepLimitExceeded,
-                     ValidationError, require_positive)
+                     ValidationError, require_finite, require_positive)
 
 __all__ = ["IntegratorSettings", "RawTrajectory", "integrate"]
 
@@ -241,22 +241,21 @@ def integrate(
     shrink h below 16 * 2**-52 * max(|t0|, |t1|), and NonFiniteState when
     the solution leaves the finite domain; a DomainError raised by the field
     is raised again as a DomainError.  Each of them names the failed step's
-    start time t, step size h and state y.  ValueError flags bad arguments:
-    a non-finite t0, a bad y0, a field whose result is not a 1-D sequence
-    of as many numbers as the state (named with the step's t, h and y), and
-    (as a ValidationError that names it) a run length t1 - t0, named
-    horizon, or a sample_step that is not finite and positive, or so small
-    that the grid has more samples than the step budget.
+    start time t, step size h and state y.  A ValidationError names a bad
+    argument: a non-finite t0, a y0 not a non-empty 1-D vector (or, for a
+    model field, of another length than its System's states), a run length
+    t1 - t0, named horizon, or a sample_step not finite and positive or
+    giving more samples than the step budget.  A ValueError flags a field
+    whose result is not 1-D and as long as the state, naming t, h and y.
     """
     settings = settings or DEFAULT_SETTINGS
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
+    require_finite("t0", t0)
     require_positive("horizon", t1 - t0)
     require_positive("sample_step", sample_step)
 
     start = np.array(y0, dtype=float)
     if start.ndim != 1 or start.size < 1:
-        raise ValueError("y0 must be a non-empty 1-D state vector")
+        raise ValidationError("y0", "must be a non-empty 1-D state vector")
     if not np.all(np.isfinite(start)):
         raise NonFiniteState("initial state is not finite")
 
@@ -264,12 +263,16 @@ def integrate(
     # a rejected step may not shrink h below 16 ulps of the largest time:
     # t + h would no longer move t, and h would shrink until it underflows
     h_floor = 16 * 2.0 ** -52 * max(abs(t0), abs(t1))
+    system = getattr(field, "system", None)
+    if system is not None and start.size != len(system.states):
+        raise ValidationError("y0", f"has {start.size} components, the "
+                              f"{system.name} system has {len(system.states)} "
+                              f"states ({', '.join(system.states)})")
     k = field(start)  # seeds FSAL; the march checks the length of each result
     if np.ndim(k) != 1:  # the march would fail to unpack it as n numbers
         raise ValueError(
             f"field returned a result of shape {np.shape(k)} for a state of "
             f"{start.size} ({_where(t0, _INITIAL_STEP, start.tolist())})")
-    system = getattr(field, "system", None)
     states = np.empty((len(grid), start.size))
     states[0] = start
     stops = grid[1:] - 1e-14 * np.maximum(1.0, np.abs(grid[1:]))

@@ -294,12 +294,14 @@ class TestFindTipping:
     def test_no_seed_where_the_pair_cannot_fit(self, baseline_params,
                                                start_4_1, tol):
         # the seed pair is tol wide, so a bracket no wider never holds it:
-        # the ends run, and their bracket and growths are the result
-        with mock.patch.object(control, "tipping_seed") as seed, \
+        # the seed is computed, the gate stays closed, the ends run, and
+        # their bracket and growths are the result
+        with mock.patch.object(control, "tipping_seed",
+                               wraps=control.tipping_seed) as seed, \
                 counted_runs(2) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=tol)
-        seed.assert_not_called()
+        seed.assert_called_once()
         assert runs == [0.40, 0.55]
         assert result.bracket == (0.40, 0.55)
         assert result.growth_at_bracket == (0.31744448030069217,
@@ -312,11 +314,11 @@ class TestFindTipping:
     # p_low + tol rounds to p_high here, yet the pair fits
     @example(ends=[0.0429655794896161, 0.501711069211014], tol_steps=-1,
              root_steps=0)
-    def test_a_skipped_seed_never_had_a_pair_to_run(self, ends, tol_steps,
-                                                    root_steps):
+    def test_the_pair_runs_exactly_where_it_fits(self, ends, tol_steps,
+                                                 root_steps):
         # a tol and a root p_inf within a few doubles of the bracket's width
-        # and midpoint, with the gate open: wherever the pair would lie
-        # inside the bracket, the seed is computed and the pair runs
+        # and midpoint, with the bound below tol / 2: the pair runs first
+        # wherever it lies inside the bracket, and the ends run otherwise
         p_low, p_high = ends
         tol, p_inf = p_high - p_low, 0.5 * (p_low + p_high)
         for _ in range(abs(tol_steps)):
@@ -416,7 +418,7 @@ class TestFindTipping:
     @pytest.mark.parametrize("s_r0", [0.0, -2.5, math.nan, math.inf])
     def test_s_r0_is_checked_after_the_other_inputs_before_any_run(
             self, baseline_params, start_4_1, s_r0):
-        # a tol wider than the bracket computes no seed, and checks it alike
+        # the seed checks it first, at a tol narrower or wider than the bracket
         for tol in (1e-3, 0.3):
             with counted_runs(0), pytest.raises(ValidationError) as info:
                 find_tipping(baseline_params, start_4_1, s_r0, 200.0, 0.40,
@@ -431,6 +433,26 @@ class TestFindTipping:
                 find_tipping(baseline_params, start_4_1, s_r0, horizon,
                              p_low, 0.55, tol)
             assert info.value.field == field
+
+    @pytest.mark.parametrize("horizon,tol,p_low,p_high,error", [
+        (200.0, 1e-3, 0.40, 0.55, None),
+        (20.0, 1e-3, 0.40, 0.55, None),
+        (200.0, 0.3, 0.40, 0.55, None),
+        (-1.0, 1e-3, 0.40, 0.55, ValidationError),
+        (200.0, math.nan, 0.40, 0.55, ValidationError),
+        (200.0, 1e-3, 0.6, 0.55, ValidationError),
+        (200.0, 1e-3, 0.55, 0.40, NoSignChange),
+    ], ids=["gate open", "gate closed", "tol wider than the bracket",
+            "bad horizon", "bad tol", "bad end", "empty bracket"])
+    def test_one_seed_per_search_that_passes_its_checks(
+            self, baseline_params, start_4_1, horizon, tol, p_low, p_high,
+            error):
+        raises = pytest.raises(error) if error else contextlib.nullcontext()
+        with mock.patch.object(control, "tipping_seed",
+                               wraps=control.tipping_seed) as seed, raises:
+            find_tipping(baseline_params, start_4_1, 0.1, horizon, p_low,
+                         p_high, tol)
+        assert seed.call_count == (0 if error else 1)
 
     def test_horizon_and_tol_are_checked_before_the_ends(self, baseline_params,
                                                          start_4_1):

@@ -223,9 +223,41 @@ def test_non_finite_initial_state():
 
 @pytest.mark.parametrize("y0", [[[1.0]], []], ids=["2-D", "empty"])
 def test_start_must_be_a_non_empty_vector(y0):
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ValidationError) as exc:
         integrate(decay, y0, 0.0, 1.0, sample_step=0.5)
-    assert str(exc.value) == "y0 must be a non-empty 1-D state vector"
+    assert str(exc.value) == "y0: must be a non-empty 1-D state vector"
+
+
+@pytest.mark.parametrize("field,states", [
+    (basic_rhs(BASELINE), "2 states (K, E)"),
+    (control_rhs(BASELINE, 0.47), "3 states (K, E, s_r)"),
+    (modulated_rhs(BASELINE, 0.5), "5 states (K, E, x, y, z)"),
+], ids=["basic", "controlled", "modulated"])
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_model_field_start_of_the_wrong_length_names_its_system(
+        field, states, extra):
+    # refused before the field's first call, which would fail to unpack it
+    n = len(field.system.states) + extra
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return field(v)
+
+    counted.system, counted.constants = field.system, field.constants
+    with pytest.raises(ValidationError) as info:
+        integrate(counted, [1.0] * n, 0.0, 1.0)
+    assert str(info.value) == (f"y0: has {n} components, the "
+                               f"{field.system.name} system has {states}")
+    assert calls == 0
+
+
+@pytest.mark.parametrize("t0", [math.nan, -math.inf])
+def test_non_finite_start_time_is_named(t0):
+    with pytest.raises(ValidationError) as info:
+        integrate(decay, [1.0], t0, 1.0, sample_step=0.5)
+    assert str(info.value) == f"t0: must be finite, got {t0}"
 
 
 def test_bad_time_interval():
