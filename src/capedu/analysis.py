@@ -108,7 +108,7 @@ def classify(eigenvalues) -> Stability:
     DEGENERACY_TOL of zero, relative to the largest |eigenvalue|, is zero."""
     eigs = [float(e) for e in eigenvalues]
     if not eigs:
-        raise ValueError("need at least one eigenvalue")
+        raise ValidationError("eigenvalues", "need at least one")
     scale = max(abs(e) for e in eigs)
     if any(abs(e) <= DEGENERACY_TOL * scale for e in eigs):
         return Stability.DEGENERATE

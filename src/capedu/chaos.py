@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .errors import require_finite
+from .errors import ValidationError, require_finite
 from .integrator import CHAOS_SETTINGS, IntegratorSettings, RawTrajectory, integrate
 from .model import EconState, ModelParams
 from .trajectory import Trajectory, build_trajectory
@@ -43,15 +43,23 @@ def running_average(times, values) -> AverageSeries:
     """Trapezoid running average of a series sampled from t = 0.
 
     Returns one value per sample time t > 0; quadrature error is
-    O(sample_step^2).
+    O(sample_step^2).  A ValidationError names times unless they are a 1-D
+    series of at least two samples that starts at t = 0 and increases
+    strictly, and values unless they have the shape of times.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
-    if t.size < 2:
-        raise ValueError("need at least two samples")
+    if t.ndim != 1 or t.size < 2:
+        raise ValidationError("times", "need a 1-D series of at least two "
+                              "samples")
     if abs(t[0]) > 1e-12:
-        raise ValueError("series must start at t = 0")
-    increments = 0.5 * (x[1:] + x[:-1]) * np.diff(t)
+        raise ValidationError("times", f"must start at t = 0, got {t[0]!r}")
+    dt = np.diff(t)
+    if not np.all(dt > 0):
+        raise ValidationError("times", "must increase strictly")
+    if x.shape != t.shape:
+        raise ValidationError("values", f"has shape {x.shape}, not {t.shape}")
+    increments = 0.5 * (x[1:] + x[:-1]) * dt
     cumulative = np.cumsum(increments)
     return AverageSeries(times=t[1:].copy(), values=cumulative / t[1:])
 

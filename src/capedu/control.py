@@ -103,16 +103,16 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     finite and positive, then both ends must pass check_target, then s_r0
     must be finite and positive.
 
-    When the pair p_inf -+ tol/2 around the closed-form root of an infinite
-    horizon (tipping_seed) lies inside the bracket and the bound on the
-    root's distance from p_inf is below tol/2, the search runs that pair
-    first, and a pair whose growths differ in sign is the result: 2 runs.
-    Otherwise it runs the two ends and searches by ITP (Oliveira & Takahashi
-    2021) with kappa1 = 0.2 / W, kappa2 = 2 and n0 = 0: at most bisection's
-    2 + ceil(log2(W / tol)) runs for a bracket W wide, fewer on a smooth dY,
-    and the pair's 2 more after a missed pair, which the bound rules out.
-    The search stops once the bracket is at most tol wide or holds no
-    double; p_star is its midpoint, or an end whose growth is exactly 0.
+    The search runs the pair p_inf -+ tol/2 around the closed-form root of an
+    infinite horizon (tipping_seed), where it lies inside the bracket and the
+    bound on the root's distance from p_inf is below tol/2, then the ends.
+    It keeps the first pair whose growths differ in sign or include a 0, and
+    narrows it by ITP (Oliveira & Takahashi 2021; kappa1 = 0.2 / W,
+    kappa2 = 2, n0 = 0) until it is at most tol wide or holds no double: 2
+    runs when the seed pair brackets the root, else at most bisection's
+    2 + ceil(log2(W / tol)) for a bracket W wide, fewer on a smooth dY, plus
+    the pair's 2 after a miss, which the bound rules out.  p_star is the
+    midpoint, or an end whose growth is exactly 0.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
@@ -129,31 +129,22 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
                                    settings, sample_step=horizon)
         return float(traj["Y"][-1]) - y_start
 
-    def result(lo: float, hi: float, g_lo: float, g_hi: float
-               ) -> TippingResult:
-        p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
-        return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
-
     x1 = p_inf - 0.5 * tol
     x2 = x1 + tol
     while x2 - x1 > tol:  # x1 + tol may round to a pair wider than tol
         x2 = math.nextafter(x2, x1)
-    if gap < 0.5 * tol and p_low < x1 < x2 < p_high:
-        g1, g2 = growth(x1), growth(x2)
-        if g1 == 0.0 or g2 == 0.0 or np.sign(g1) != np.sign(g2):
-            return result(x1, x2, g1, g2)
-
-    lo, hi = p_low, p_high
-    g_lo, g_hi = growth(lo), growth(hi)
-    if g_lo == 0.0 or g_hi == 0.0:
-        return result(lo, hi, g_lo, g_hi)
-    if np.sign(g_lo) == np.sign(g_hi):
+    pair = [(x1, x2)] if gap < 0.5 * tol and p_low < x1 < x2 < p_high else []
+    for lo, hi in pair + [(p_low, p_high)]:
+        g_lo, g_hi = growth(lo), growth(hi)
+        if g_lo == 0.0 or np.sign(g_lo) != np.sign(g_hi):
+            break
+    else:
         raise NoSignChange(
             f"growth has the same sign at both ends: {g_lo:.4g}, {g_hi:.4g}")
 
     width = hi - lo
     n = math.ceil(math.log2(width) - math.log2(tol))  # W / tol may overflow
-    while hi - lo > tol:
+    while hi - lo > tol and g_lo and g_hi:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # adjacent doubles: a tol below their spacing ends here
@@ -165,13 +156,15 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         x = x if lo < x < hi else mid
         g_x = growth(x)
         if g_x == 0.0:
-            return result(x, x, g_x, g_x)
-        if np.sign(g_x) == np.sign(g_lo):
+            lo = hi = x
+            g_lo = g_hi = g_x
+        elif np.sign(g_x) == np.sign(g_lo):
             lo, g_lo = x, g_x
         else:
             hi, g_hi = x, g_x
         n -= 1
-    return result(lo, hi, g_lo, g_hi)
+    p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
+    return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
 
 
 def long_run_outcome(params: ModelParams, p: float) -> tuple[float, float]:

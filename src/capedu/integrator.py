@@ -253,8 +253,11 @@ def integrate(
     require_positive("horizon", t1 - t0)
     require_positive("sample_step", sample_step)
 
-    start = np.array(y0, dtype=float)
-    if start.ndim != 1 or start.size < 1:
+    try:
+        start = np.array(y0, dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        start = None
+    if start is None or start.ndim != 1 or start.size < 1:
         raise ValidationError("y0", "must be a non-empty 1-D state vector")
     if not np.all(np.isfinite(start)):
         raise NonFiniteState("initial state is not finite")

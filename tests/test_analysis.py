@@ -120,8 +120,10 @@ class TestClassify:
         assert classify([0.0, 0.0]) is Stability.DEGENERATE
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             classify([])
+        assert isinstance(exc.value, ValidationError)
+        assert exc.value.field == "eigenvalues"
 
 
 class TestReport:

@@ -87,11 +87,14 @@ CONTROLLED = str(SCENARIOS / "controlled_p047.json")
     # the same search at dense_chaos's tol 0.05, where ITP made 4
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "0.05"), 2),
+    # at T = 50 the seed's bound closes the gate: the ends and 4 ITP runs
+    (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
+          "--p-max", "0.55", "--tol", "1e-3", "--horizon", "50"), 6),
     (_cli("phase", "--scenario", BASIC, "--k-range", "1:6",
           "--e-range", "0.5:3", "--grid", "2x2", "--horizon", "5"), 4),
     (_chaotic_scenario_built_in_code(), 1),
 ], ids=["basic", "controlled", "chaotic", "chaos", "sweep", "tipping",
-        "tipping-crit6", "tipping-tol-0.05", "phase",
+        "tipping-crit6", "tipping-tol-0.05", "tipping-itp", "phase",
         "chaotic-built-in-code"])
 def test_trace_sees_every_run(run, runs, capsys):
     # the trace counts runs through the integrate attributes it wraps; a run

@@ -31,6 +31,16 @@ class TestRunningAverage:
             running_average([0.0], [1.0])
         with pytest.raises(ValueError):
             running_average([1.0, 2.0], [1.0, 1.0])
+        for times, values, field in [
+                ([0.0], [1.0], "times"),
+                ([1.0, 2.0], [1.0, 1.0], "times"),
+                ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0], "times"),  # decreasing
+                ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], "times"),  # repeated
+                ([0.0, 1.0, 2.0], [1.0, 2.0], "values"),  # once broadcast
+                ([0.0, 1.0], [1.0, 2.0, 3.0], "values")]:
+            with pytest.raises(ValidationError) as exc:
+                running_average(times, values)
+            assert exc.value.field == field
 
     def test_additive_over_windows(self, ne9_run):
         t, x = ne9_run.times, ne9_run.states[:, 0]

@@ -264,6 +264,25 @@ class TestFindTipping:
         assert result.p_star == 0.40 and result.bracket == (0.40, 0.55)
         assert result.growth_at_bracket == (0.0, -0.5 * y_start)
 
+    def test_zero_growth_inside_the_bracket_returns_it(self, baseline_params,
+                                                       start_4_1):
+        # at T = 20 the gate stays closed; ITP's first run lands on the
+        # bracket's midpoint, where the output at the horizon is exactly Y(0)
+        y_start = output(baseline_params, start_4_1.K, start_4_1.E)
+        mid = 0.5 * (0.40 + 0.55)
+
+        def flat_at_mid(params, p, *args, **kwargs):
+            return {"Y": np.array([y_start if p == mid else
+                                   y_start + mid - p])}
+
+        with mock.patch.object(control, "simulate_controlled",
+                               flat_at_mid), counted_runs(3) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 20.0,
+                                  0.40, 0.55, tol=1e-3)
+        assert runs == [0.40, 0.55, mid]
+        assert result.p_star == mid and result.bracket == (mid, mid)
+        assert result.growth_at_bracket == (0.0, 0.0)
+
     @pytest.mark.parametrize("root", [0.42, 0.5])
     def test_missed_pair_falls_back_to_the_unseeded_search(
             self, baseline_params, start_4_1, root):

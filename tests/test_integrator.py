@@ -221,7 +221,8 @@ def test_non_finite_initial_state():
         integrate(decay, [np.nan], 0.0, 1.0, sample_step=0.5)
 
 
-@pytest.mark.parametrize("y0", [[[1.0]], []], ids=["2-D", "empty"])
+@pytest.mark.parametrize("y0", [[[1.0]], [], [[1.0], [1.0, 2.0]], ["a"]],
+                         ids=["2-D", "empty", "ragged", "text"])
 def test_start_must_be_a_non_empty_vector(y0):
     with pytest.raises(ValidationError) as exc:
         integrate(decay, y0, 0.0, 1.0, sample_step=0.5)

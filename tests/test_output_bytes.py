@@ -1,10 +1,11 @@
-"""The output path's bytes, pinned by sha256.
+"""The output path's bytes, pinned by sha256 or, where short, literally.
 
 Each digest was taken from the writer before it worked on whole columns,
 each `capedu plot` digest from the renderer before it formatted the
-points in numpy, and each `capedu equilibrium` digest before the controlled
-report was built in one step; a faster writer, renderer or report must keep
-every byte.
+points in numpy, each `capedu equilibrium` digest before the controlled
+report was built in one step, and each `capedu tipping` stdout before the
+search probed its seed pair and its ends in one loop; a faster or simpler
+writer, renderer, report or search must keep every byte.
 """
 
 import hashlib
@@ -126,3 +127,38 @@ def test_every_scenario_has_an_equilibrium_digest():
 def test_cli_equilibrium_bytes(name, digest, capsys):
     assert run(["equilibrium", "--scenario", str(SCENARIO_DIR / name)]) == 0
     assert sha256(capsys.readouterr().out) == digest
+
+
+TIPPING_STDOUT = [
+    # the seed pair p_inf -+ tol/2 brackets the root: 2 runs
+    (["--tol", "1e-3"],
+     "p_star=0.46615\nbracket=0.46565,0.46665\n"
+     "growth_at_bracket=0.00269426,-0.00269988\nhorizon=200\n"),
+    # the seed's bound is above tol/2: the ends, then ITP
+    (["--tol", "1e-3", "--horizon", "20"],
+     "p_star=0.464566\nbracket=0.464354,0.464777\n"
+     "growth_at_bracket=0.000508165,-0.00135106\nhorizon=20\n"),
+    (["--tol", "1e-3", "--horizon", "50"],
+     "p_star=0.466041\nbracket=0.465896,0.466185\n"
+     "growth_at_bracket=0.0005654,-0.00096592\nhorizon=50\n"),
+    # 8 runs
+    (["--tol", "1e-6"],
+     "p_star=0.46615\nbracket=0.46615,0.46615\n"
+     "growth_at_bracket=7.8016e-08,-2.14115e-07\nhorizon=200\n"),
+    # the pair does not fit: the ends and one ITP run
+    (["--tol", "0.15"],
+     "p_star=0.4375\nbracket=0.4,0.475\n"
+     "growth_at_bracket=0.317444,-0.0486438\nhorizon=200\n"),
+    # wider than the bracket: the ends only
+    (["--tol", "0.3"],
+     "p_star=0.475\nbracket=0.4,0.55\n"
+     "growth_at_bracket=0.317444,-0.575794\nhorizon=200\n"),
+]
+
+
+@pytest.mark.parametrize("flags,stdout", TIPPING_STDOUT)
+def test_cli_tipping_stdout(flags, stdout, capsys):
+    assert run(["tipping", "--scenario",
+                str(SCENARIO_DIR / "controlled_p047.json"),
+                "--p-min", "0.40", "--p-max", "0.55"] + flags) == 0
+    assert capsys.readouterr().out == stdout
