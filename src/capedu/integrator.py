@@ -82,6 +82,8 @@ def _terms(weights: Sequence[float], i: int) -> str:
 # constants written in, compares where min/max would be called, with the
 # same results.  A rejected step (err > 1, or NaN) has a factor of at most
 # 0.9, or NaN: the upper clamp leaves it, the lower turns NaN to _MIN_FACTOR.
+# A stage outside the domain rejects the attempt too, as SUNDIALS treats a
+# recoverable right-hand-side error, unless h would fall below the floor.
 _MARCH = """\
 def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}):
     {y}, = out[:{n}]
@@ -92,11 +94,16 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
         for t_target, stop in zip(targets, stops):
             while t < stop:
                 if steps >= max_steps:
-                    raise StepLimitExceeded(
-                        'max_steps=%s reached (%s)' % (max_steps, {where}))
+                    raise StepLimitExceeded('max_steps=%s reached' % max_steps)
                 steps += 1
                 if t_target - t < h: h = t_target - t
-{step}
+                try:
+{stages}
+                except DomainError:
+                    if h * {lo!r} < h_floor: raise
+                    h *= {lo!r}
+                    continue
+{check}
                 factor = {safety!r} * err ** {exp!r} if err else {hi!r}
                 if factor > {hi!r}: factor = {hi!r}
                 h_new = h * (factor if factor > {lo!r} else {lo!r})
@@ -106,13 +113,12 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
                     {fsal}
                 elif h_new < h_floor:
                     raise StepLimitExceeded(
-                        'step size fell below the floor %.6g (%s)'
-                        % (h_floor, {where}))
+                        'step size fell below the floor %.6g' % h_floor)
                 h = h_new
             t = t_target
             j += {n}; {store}
-    except DomainError as exc:
-        raise DomainError('%s (%s)' % (exc, {where})) from exc
+    except (DomainError, NonFiniteState, StepLimitExceeded) as exc:
+        raise type(exc)('%s (%s)' % (exc, {where})) from exc
     except ValueError:  # a field result of another length fails to unpack
         if len(k) != {n}:
             raise ValueError('field returned %s values for a state of {n} '
@@ -127,12 +133,12 @@ def _step_source(n: int, system=None) -> str:
     march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol,
     *constants) steps from row 0 of out, a flat view of the states, with k
     its first stage, and writes rows 1, 2, ... at each target once t passes
-    its stop.  A step writes the stage inputs, the 5th-order solution ynI and
-    the error terms eI read off _A, _B and _E, and a healthy one calls only
-    the field: a System's lines and derivatives run inline, and otherwise the
-    one constant field is called on an ndarray.  The march's own names, which
-    a System's may not be, are those in _MARCH, this module's, array, finite,
-    total and the numbered yI, ynI, eI and kS_I.
+    its stop.  A step writes the stages (inputs and the 5th-order solution
+    ynI) and the check (error terms eI) read off _A, _B and _E; a healthy
+    one calls only the field: a System's lines and derivatives run inline,
+    otherwise the one constant field is called on an ndarray.  The march's
+    own names, which a System's may not be, are those in _MARCH, this
+    module's, array, finite, total and the numbered yI, ynI, eI and kS_I.
     """
     dim = range(n)
 
@@ -148,34 +154,34 @@ def _step_source(n: int, system=None) -> str:
                 *system.lines,
                 *(f"k{s}_{i} = {d}" for i, d in enumerate(system.derivatives))]
 
-    step = []
+    stages = []
     for s in range(2, 7):
-        step += evaluate(s, [f"y{i} + h * ({_terms(_A[s - 1], i)})"
-                             for i in dim])
-    step += [f"yn{i} = y{i} + h * ({_terms(_B, i)})" for i in dim]
+        stages += evaluate(s, [f"y{i} + h * ({_terms(_A[s - 1], i)})"
+                               for i in dim])
+    stages += [f"yn{i} = y{i} + h * ({_terms(_B, i)})" for i in dim]
     # FSAL: the last row of _A is _B, so the last stage is taken at y_new
-    step += evaluate(7, [f"yn{i}" for i in dim])
+    stages += evaluate(7, [f"yn{i}" for i in dim])
     # yn is not finite if a stage _B weighs (all but k2 and k7) is not
     values = [f"{v}{i}" for v in ("yn", "k2_", "k7_") for i in dim]
-    where = f"_where(t, h, ({names('y')},))"
-    step += [
+    check = [
         # a sum of finite values is finite unless it overflows, and then
         # each value is tested; before err, as a comparison passes a NaN
         f"total = {' + '.join(values)}",  # total - total: NaN, or 0.0 if finite
         f"if total - total and not all(map(finite, ({', '.join(values)}))):",
-        f"    raise NonFiniteState('non-finite state in the step (%s)' "
-        f"% {where})",
+        "    raise NonFiniteState('non-finite state in the step')",
         *(f"e{i} = h * ({_terms(_E, i)})" for i in dim),  # abs: a sign test
         *(f"e{i} = (e{i} if e{i} >= 0.0 else -e{i}) / "  # -0.0 acts as 0.0
           f"(atol + rtol * (yn{i} if yn{i} >= 0.0 else -yn{i}))" for i in dim),
         "err = e0",  # max(e0, e1, ...): the first largest, in order
         *(f"if e{i} > err: err = e{i}" for i in dim[1:]),
     ]
+    where = f"_where(t, h, ({names('y')},))"
     return _MARCH.format(
         consts="field" if system is None else ", ".join(system.constants),
         y=names("y"), k1=names("k1_"), n=n, where=where, safety=_SAFETY,
         exp=-_ORDER_EXP, lo=_MIN_FACTOR, hi=_MAX_FACTOR,
-        step="\n".join(" " * 16 + line for line in step),
+        stages="\n".join(" " * 20 + line for line in stages),
+        check="\n".join(" " * 16 + line for line in check),
         accept="; ".join(f"y{i} = yn{i}" for i in dim),
         fsal="; ".join(f"k1_{i} = k7_{i}" for i in dim),  # the next k1
         store="; ".join(f"out[j - {n - i}] = y{i}" for i in dim))
@@ -236,17 +242,20 @@ def integrate(
     floats in tableau order, so a rerun gives the same bits on any BLAS
     build.
 
-    The output grid always starts at t0 and ends at t1.  Raises
-    StepLimitExceeded when the step budget runs out or a rejected step would
-    shrink h below 16 * 2**-52 * max(|t0|, |t1|), and NonFiniteState when
-    the solution leaves the finite domain; a DomainError raised by the field
-    is raised again as a DomainError.  Each of them names the failed step's
-    start time t, step size h and state y.  A ValidationError names a bad
-    argument: a non-finite t0, a y0 not a non-empty 1-D vector (or, for a
-    model field, of another length than its System's states), a run length
-    t1 - t0, named horizon, or a sample_step not finite and positive or
-    giving more samples than the step budget.  A ValueError flags a field
-    whose result is not 1-D and as long as the state, naming t, h and y.
+    The output grid always starts at t0 and ends at t1.  A DomainError that
+    the field raises at a stage rejects the attempt, which counts toward the
+    step budget, and retries it with h shrunk by _MIN_FACTOR; where that
+    would take h below the floor 16 * 2**-52 * max(|t0|, |t1|), the
+    DomainError is raised again.  Raises StepLimitExceeded when the step
+    budget runs out or a step the error test rejects would shrink h below
+    the floor, and NonFiniteState when the solution leaves the finite
+    domain.  Each of them names the failed step's start time t, step size h
+    and state y.  A ValidationError names a bad argument: a non-finite t0,
+    a y0 not a non-empty 1-D vector (or, for a model field, of another
+    length than its System's states), a run length t1 - t0, named horizon,
+    or a sample_step not finite and positive or giving more samples than
+    the step budget.  A ValueError flags a field whose result is not 1-D
+    and as long as the state, naming t, h and y.
     """
     settings = settings or DEFAULT_SETTINGS
     require_finite("t0", t0)

@@ -289,18 +289,19 @@ def test_non_finite_times_rejected(t0, t1, sample_step):
         integrate(decay, [1.0], t0, t1, sample_step=sample_step)
 
 
-def test_domain_error_names_t_h_and_state(monkeypatch):
-    # decay this fast sends the first stage of a 0.5 step below K = 0
-    params = ModelParams(s_k=0.4, s_r=0.1, delta_k=50.0, delta_r=0.25,
-                         alpha=0.2, beta=0.35)
-    monkeypatch.setattr(integrator, "_INITIAL_STEP", 0.5)
-    with pytest.raises(DomainError) as info:
-        integrate(basic_rhs(params), [4.0, 1.0], 0.0, 10.0, sample_step=1.0)
-    message = str(info.value)
-    assert message.startswith("K and E must stay positive")
-    assert "t=0 " in message
-    assert "h=0.5," in message
-    assert "y=[4, 1]" in message
+def test_domain_error_names_t_h_and_state():
+    # s_k + c x < 0 drives K to 0 in finite time, a true exit that no
+    # shorter step avoids: the last stage outside the domain is at the floor
+    field = modulated_rhs(BASELINE, -5.0)
+    messages = []
+    for path in (field, lambda v: field(v)):
+        with pytest.raises(DomainError) as info:
+            integrate(path, [4.0, 1.0, 0.5, 0.0, 0.0], 0.0, 50.0,
+                      CHAOS_SETTINGS, 1.0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("K and E must stay positive")
+    assert "(from t=7.59971 with h=2.08916e-13, y=[2.47706e-20, " in messages[0]
 
 
 def test_non_finite_state_names_t_h_and_state():
@@ -309,6 +310,20 @@ def test_non_finite_state_names_t_h_and_state():
 
     with pytest.raises(NonFiniteState, match=r"t=\S+ with h=\S+, y=\[\S+\]"):
         integrate(field, [1.0], 0.0, 20.0, sample_step=20.0)
+
+
+@pytest.mark.parametrize("error", [NonFiniteState, StepLimitExceeded])
+def test_field_errors_of_the_march_name_the_step(error):
+    # the march's one handler names the step for the field's errors as well
+    def field(y):
+        if y[0] < 0.5:
+            raise error("field gave up")
+        return -y
+
+    with pytest.raises(error, match=r"^field gave up \(from t=\S+ with "
+                                    r"h=\S+, y=\[\S+\]\)$") as info:
+        integrate(field, [1.0], 0.0, 5.0)
+    assert type(info.value.__cause__) is error
 
 
 def blas_reference_integrate(field, y0, t0, t1, settings, sample_step):
@@ -622,16 +637,16 @@ FAST_DECAY = replace(BASELINE, delta_k=50.0)
 ], ids=["basic", "controlled", "modulated"])
 def test_inlined_and_opaque_fields_raise_the_same_domain_error(
         field, y0, monkeypatch):
-    # decay this fast sends the first stage of a 0.5 step below K = 0
+    # decay this fast sends the first stage of a 0.5 step below K = 0, on
+    # either path; the stage rejects the step, and both runs finish the same
     monkeypatch.setattr(integrator, "_INITIAL_STEP", 0.5)
-    messages = []
-    for path in (field, lambda v: field(v)):
-        with pytest.raises(DomainError) as info:
-            integrate(path, y0, 0.0, 10.0, sample_step=1.0)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert messages[0].startswith("K and E must stay positive")
-    assert "(from t=0 with h=0.5, y=[4, 1" in messages[0]
+    args = (y0, 0.0, 10.0, DEFAULT_SETTINGS, 1.0)
+    inlined = integrate(field, *args)
+    calls, opaque = rhs_calls(integrate, field, *args)
+    assert calls % 6 != 1  # an attempt stopped at its failing stage
+    assert np.array_equal(inlined.times, opaque.times)
+    assert np.array_equal(inlined.states, opaque.states)
+    assert np.all(inlined.states[:, :2] > 0)
 
 
 def test_wrapped_model_field_of_the_wrong_length_names_the_step():

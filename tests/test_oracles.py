@@ -197,10 +197,10 @@ def test_controlled_runs_end_at_the_controlled_equilibrium(
     assert distance <= allowed(max(abs(u), abs(w), abs(v)))
 
 
-# stocks from 10^-2 to 10^1.5, none below SMALLEST_STOCK: from far smaller
-# stocks a run can still leave the domain, because near the equilibrium the
-# error estimate is about 0 and h grows 5x per step until a stage does
-stocks = st.floats(-2.0, 1.5).map(lambda u: 10.0 ** u)
+# stocks from 10^-8 to 10^1.5, far below abs_tol too: near such an
+# equilibrium the error estimate is about 0 and h grows 5x per step until a
+# stage leaves the domain, which the integrator then rejects as a step
+stocks = st.floats(-8.0, 1.5).map(lambda u: 10.0 ** u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,6 +214,28 @@ def test_basic_runs_stay_positive(params, K, E):
     raw = integrate(basic_rhs(params), [K, E], 0.0, horizon,
                     sample_step=horizon)
     assert np.all(raw.states > 0)
+
+
+# stocks far below abs_tol, where the error estimate no longer holds h back
+TINY = ModelParams(s_k=0.5, s_r=0.03125, delta_k=0.5, delta_r=0.5,
+                   alpha=0.75, beta=0.125)
+
+
+@pytest.mark.parametrize("params,start,horizon", [
+    # from K = E = 1 over 40 slowest time constants, to K0 = 1.7e-9
+    (replace(TINY, alpha=0.796875, beta=0.09375), [1.0, 1.0], 731.4),
+    # from K0 (1 + 1e-9), E0 beside the equilibrium K0 = 5.96e-8, E0 = 3.73e-9
+    # (at the equilibrium itself the field is about 0, and no stage moves)
+    (TINY, None, 320.0),
+], ids=["from_one", "beside_the_equilibrium"])
+def test_tiny_stocks_runs_end_at_the_equilibrium(params, start, horizon):
+    K0, E0 = equilibrium(params)
+    raw = integrate(basic_rhs(params), start or [K0 * (1 + 1e-9), E0], 0.0,
+                    horizon, sample_step=horizon)
+    K, E = raw.states[-1]
+    assert K > 0 and E > 0
+    assert abs(K - K0) <= DEFAULT_SETTINGS.abs_tol
+    assert abs(E - E0) <= DEFAULT_SETTINGS.abs_tol
 
 
 @settings(max_examples=60, deadline=None)
