@@ -22,7 +22,7 @@ start = EconState(K=4.0, E=1.0)
 # the driver on its own: bounded, aperiodic, slightly positive on average
 driver = simulate_ne9(horizon=100.0)
 avg = running_average(driver.times, driver.states[:, 0])
-print(f"driver running average A(100) = {avg.values[-1]:.4f}")
+print(f"driver running average A(100) = {avg[-1]:.4f}")
 print(f"driver amplitude max|x|       = {np.max(np.abs(driver.states[:, 0])):.3f}")
 
 series = []

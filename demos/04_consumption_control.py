@@ -14,8 +14,8 @@ from pathlib import Path
 from capedu import (
     EconState,
     ModelParams,
+    controlled_equilibrium,
     find_tipping,
-    long_run_outcome,
     render_svg,
     simulate_controlled,
 )
@@ -27,8 +27,8 @@ start = EconState(K=4.0, E=1.0)
 print("consumption target vs long-run outcome (closed form):")
 print(f"{'p':>6} {'Y_inf':>8} {'C_inf':>8}")
 for p in (0.40, 0.44, 0.47, 0.50, 0.55):
-    Y, C = long_run_outcome(params, p)
-    print(f"{p:6.2f} {Y:8.4f} {C:8.4f}")
+    Y = controlled_equilibrium(params, p).Y0
+    print(f"{p:6.2f} {Y:8.4f} {p * Y:8.4f}")
 print("note C_inf peaks below p=0.55: demanding more consumption "
       "delivers less of it.\n")
 

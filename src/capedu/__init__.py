@@ -11,8 +11,8 @@ from .analysis import (
     invariant_manifold,
     jacobian_basic,
 )
-from .chaos import AverageSeries, running_average, simulate_modulated, simulate_ne9
-from .control import TippingResult, find_tipping, long_run_outcome, simulate_controlled
+from .chaos import running_average, simulate_modulated, simulate_ne9
+from .control import TippingResult, find_tipping, simulate_controlled
 from .errors import (
     CapEduError,
     DomainError,
@@ -24,7 +24,7 @@ from .errors import (
     StructurallyUnstable,
     ValidationError,
 )
-from .integrator import IntegratorSettings, RawTrajectory, integrate
+from .integrator import IntegratorSettings, IntegratorStats, RawTrajectory, integrate
 from .model import EconState, ModelParams, output
 from .scenario_io import (
     ChaosSpec,

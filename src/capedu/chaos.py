@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import model
@@ -12,17 +10,9 @@ from .integrator import CHAOS_SETTINGS, IntegratorSettings, RawTrajectory, integ
 from .model import EconState, ModelParams
 from .trajectory import Trajectory, build_trajectory
 
-__all__ = ["AverageSeries", "simulate_ne9", "running_average", "simulate_modulated"]
+__all__ = ["simulate_ne9", "running_average", "simulate_modulated"]
 
 DEFAULT_SAMPLE_STEP = 0.01
-
-
-@dataclass(frozen=True)
-class AverageSeries:
-    """Running time-average (1/t) * integral of x over [0, t], for t > 0."""
-
-    times: np.ndarray
-    values: np.ndarray
 
 
 def simulate_ne9(b: float = model.NE9_B_DEFAULT,
@@ -39,13 +29,14 @@ def simulate_ne9(b: float = model.NE9_B_DEFAULT,
                      0.0, horizon, settings or CHAOS_SETTINGS, sample_step)
 
 
-def running_average(times, values) -> AverageSeries:
+def running_average(times, values) -> np.ndarray:
     """Trapezoid running average of a series sampled from t = 0.
 
-    Returns one value per sample time t > 0; quadrature error is
-    O(sample_step^2).  A ValidationError names times unless they are a 1-D
-    series of at least two samples that starts at t = 0 and increases
-    strictly, and values unless they have the shape of times.
+    Returns an ndarray of (1/t) * integral of x over [0, t] at each sample
+    time t > 0, times[1:]; quadrature error is O(sample_step^2).  A
+    ValidationError names times unless they are a 1-D series of at least two
+    samples that starts at t = 0 and increases strictly, and values unless
+    they have the shape of times.
     """
     t = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -59,9 +50,7 @@ def running_average(times, values) -> AverageSeries:
         raise ValidationError("times", "must increase strictly")
     if x.shape != t.shape:
         raise ValidationError("values", f"has shape {x.shape}, not {t.shape}")
-    increments = 0.5 * (x[1:] + x[:-1]) * dt
-    cumulative = np.cumsum(increments)
-    return AverageSeries(times=t[1:].copy(), values=cumulative / t[1:])
+    return np.cumsum(0.5 * (x[1:] + x[:-1]) * dt) / t[1:]
 
 
 def simulate_modulated(params: ModelParams, c: float, econ0: EconState,

@@ -119,8 +119,8 @@ def _cmd_chaos(args) -> str:
     raw = chaos_mod.simulate_ne9(b=args.b, x0=args.x0, y0=args.y0, z0=args.z0,
                                  horizon=args.horizon, settings=settings,
                                  sample_step=args.sample_step)
-    series = chaos_mod.running_average(raw.times, raw.states[:, 0])
-    return f"A({args.horizon:g})={series.values[-1]:.6g}\n"
+    average = chaos_mod.running_average(raw.times, raw.states[:, 0])
+    return f"A({args.horizon:g})={average[-1]:.6g}\n"
 
 
 def _cmd_phase(args) -> str:

@@ -16,7 +16,7 @@ from .model import EconState, ModelParams, output
 from .trajectory import Trajectory, build_trajectory
 
 __all__ = ["TippingResult", "check_control", "simulate_controlled",
-           "tipping_seed", "find_tipping", "long_run_outcome"]
+           "tipping_seed", "find_tipping"]
 
 # How far a start's log-distance from a stable equilibrium may grow before it
 # decays as e^(lambda1 t): tests/test_oracles.py bounds end states with the
@@ -165,9 +165,3 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
         n -= 1
     p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
     return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
-
-
-def long_run_outcome(params: ModelParams, p: float) -> tuple[float, float]:
-    """Asymptotic (Y, C) = (Y0, p*Y0) at the controlled equilibrium."""
-    report = controlled_equilibrium(params, p)
-    return report.Y0, p * report.Y0

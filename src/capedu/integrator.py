@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import (DomainError, NonFiniteState, StepLimitExceeded,
                      ValidationError, require_finite, require_positive)
 
-__all__ = ["IntegratorSettings", "RawTrajectory", "integrate"]
+__all__ = ["IntegratorSettings", "IntegratorStats", "RawTrajectory",
+           "integrate"]
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,32 @@ CHAOS_SETTINGS = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
 
 
 @dataclass(frozen=True)
+class IntegratorStats:
+    """What one integrate run did.
+
+    steps counts the attempts, each against the step budget; accepted of
+    them passed the error test and domain_rejected ended at a stage outside
+    the domain, so steps - accepted - domain_rejected failed the error
+    test.  h_min and h_max are the smallest and largest accepted steps as
+    taken, steps shortened to land on a sample included; NaN if no step
+    was taken.  wall_s is the run's wall time in seconds.
+    """
+
+    steps: int
+    accepted: int
+    domain_rejected: int
+    h_min: float
+    h_max: float
+    wall_s: float
+
+
+@dataclass(frozen=True)
 class RawTrajectory:
     """Times and states sampled on the requested output grid."""
 
     times: np.ndarray   # shape (n,), strictly increasing
     states: np.ndarray  # shape (n, dim)
+    stats: IntegratorStats | None = None  # None if not made by integrate
 
 
 # Dormand-Prince 5(4) tableau, as the Python floats the step sums run on
@@ -88,7 +111,8 @@ _MARCH = """\
 def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}):
     {y}, = out[:{n}]
     j = {n}
-    steps = 0
+    steps = accepted = domain_rejected = 0
+    h_min = h_max = math.nan  # NaN fails both tests: the first step sets both
     try:
         {k1}, = k
         for t_target, stop in zip(targets, stops):
@@ -102,6 +126,7 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
                 except DomainError:
                     if h * {lo!r} < h_floor: raise
                     h *= {lo!r}
+                    domain_rejected += 1
                     continue
 {check}
                 factor = {safety!r} * err ** {exp!r} if err else {hi!r}
@@ -109,6 +134,9 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
                 h_new = h * (factor if factor > {lo!r} else {lo!r})
                 if err <= 1.0:
                     t = t + h
+                    accepted += 1
+                    if not h >= h_min: h_min = h
+                    if not h <= h_max: h_max = h
                     {accept}
                     {fsal}
                 elif h_new < h_floor:
@@ -117,6 +145,7 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
                 h = h_new
             t = t_target
             j += {n}; {store}
+        return steps, accepted, domain_rejected, h_min, h_max
     except (DomainError, NonFiniteState, StepLimitExceeded) as exc:
         raise type(exc)('%s (%s)' % (exc, {where})) from exc
     except ValueError:  # a field result of another length fails to unpack
@@ -133,12 +162,13 @@ def _step_source(n: int, system=None) -> str:
     march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol,
     *constants) steps from row 0 of out, a flat view of the states, with k
     its first stage, and writes rows 1, 2, ... at each target once t passes
-    its stop.  A step writes the stages (inputs and the 5th-order solution
-    ynI) and the check (error terms eI) read off _A, _B and _E; a healthy
-    one calls only the field: a System's lines and derivatives run inline,
-    otherwise the one constant field is called on an ndarray.  The march's
-    own names, which a System's may not be, are those in _MARCH, this
-    module's, array, finite, total and the numbered yI, ynI, eI and kS_I.
+    its stop, and returns IntegratorStats' counts and step sizes.  A step
+    writes the stages (inputs and the 5th-order solution ynI) and the check
+    (error terms eI) read off _A, _B and _E; a healthy one calls only the
+    field: a System's lines and derivatives run inline, otherwise the one
+    constant field is called on an ndarray.  The march's own names, which a
+    System's may not be, are those in _MARCH, this module's, array, finite,
+    total and the numbered yI, ynI, eI and kS_I.
     """
     dim = range(n)
 
@@ -255,8 +285,10 @@ def integrate(
     length than its System's states), a run length t1 - t0, named horizon,
     or a sample_step not finite and positive or giving more samples than
     the step budget.  A ValueError flags a field whose result is not 1-D
-    and as long as the state, naming t, h and y.
+    and as long as the state, naming t, h and y.  The trajectory's stats
+    say what the run did (IntegratorStats).
     """
+    wall = time.perf_counter()
     settings = settings or DEFAULT_SETTINGS
     require_finite("t0", t0)
     require_positive("horizon", t1 - t0)
@@ -288,8 +320,12 @@ def integrate(
     states = np.empty((len(grid), start.size))
     states[0] = start
     stops = grid[1:] - 1e-14 * np.maximum(1.0, np.abs(grid[1:]))
-    _step_for(start.size, system)(
+    steps, accepted, domain_rejected, h_min, h_max = _step_for(
+        start.size, system)(
         k, t0, _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
         memoryview(states.ravel()), _MAX_STEPS, h_floor, settings.rel_tol,
         settings.abs_tol, *(field.constants if system is not None else (field,)))
-    return RawTrajectory(times=grid, states=states)
+    # float(): a field that returns an ndarray makes h a numpy float64
+    stats = IntegratorStats(steps, accepted, domain_rejected, float(h_min),
+                            float(h_max), time.perf_counter() - wall)
+    return RawTrajectory(times=grid, states=states, stats=stats)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .integrator import RawTrajectory
+from .integrator import IntegratorStats, RawTrajectory
 from .model import ModelParams, output
 
 __all__ = ["Trajectory", "build_trajectory", "sample_index"]
@@ -30,6 +30,7 @@ class Trajectory:
     data: dict[str, np.ndarray] = field(repr=False)
     constraint_violation: bool = False
     min_effective_sk: float | None = None
+    stats: IntegratorStats | None = None  # the run's, as in RawTrajectory
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.data[name]
@@ -66,4 +67,5 @@ def build_trajectory(params: ModelParams, raw: RawTrajectory,
     min_eff = None if s_k is None else float(np.min(s_k))
     return Trajectory(columns=tuple(state_columns) + ("Y", "C", "I_k", "I_r"),
                       times=raw.times.copy(), data=data,
-                      constraint_violation=violated, min_effective_sk=min_eff)
+                      constraint_violation=violated, min_effective_sk=min_eff,
+                      stats=raw.stats)

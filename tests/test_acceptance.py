@@ -172,7 +172,7 @@ def test_criterion_7_chaos_average():
     raw = simulate_ne9(b=0.55, x0=0.5, y0=0.0, z0=0.0, horizon=100.0,
                        settings=settings, sample_step=0.01)
     avg = running_average(raw.times, raw.states[:, 0])
-    a100 = float(avg.values[-1])
+    a100 = float(avg[-1])
     assert a100 == pytest.approx(0.14, abs=0.05)
     report(7, f"A(100)={a100:.4f} = 0.14+-0.05")
 

@@ -7,11 +7,12 @@ fail first.
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from capedu import cli, scenario_io
+from capedu import chaos, cli, scenario_io
 
 from test_control import counted_runs
 
@@ -110,6 +111,38 @@ def test_trace_sees_every_run(run, runs, capsys):
     tracing.assert_untraced()
     calls, _, steps = tracing.integrate_counts(tracer.spans)
     assert calls == runs and steps > 0
+
+
+def _scenario(name, **changes):
+    return replace(scenario_io.load_scenario((SCENARIOS / name).read_text()),
+                   **changes)
+
+
+@pytest.mark.parametrize("run,steps,accepted,rhs_calls", [
+    (lambda: scenario_io.run_scenario(
+        _scenario("basic_baseline.json", sample_step=1.0)), 224, 224, 1_345),
+    (lambda: scenario_io.run_scenario(_scenario("controlled_p047.json")),
+     435, 435, 2_611),
+    (lambda: chaos.simulate_ne9(horizon=100.0), 10_002, 10_002, 60_013),
+    (lambda: scenario_io.run_scenario(_scenario("chaotic_plus.json")),
+     9_313, 9_255, 55_879),
+], ids=["basic", "controlled", "chaos", "modulated"])
+def test_selfcheck_runs_report_their_steps(run, steps, accepted, rhs_calls):
+    # the selfcheck's four runs and the RHS calls it records: where no stage
+    # left the domain, a run makes 1 + 6 calls per attempted step, so the
+    # stats the library reports give the benchmark's counts
+    tracing = _load_tracing()
+    tracing.capture_originals()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        stats = run().stats
+    finally:
+        tracer.uninstall()
+    assert (stats.steps, stats.accepted, stats.domain_rejected) == \
+        (steps, accepted, 0)
+    assert tracing.integrate_counts(tracer.spans)[1] == rhs_calls == \
+        1 + 6 * stats.steps
 
 
 def test_benchmark_selfcheck_passes(monkeypatch, tmp_path, capsys):

@@ -19,12 +19,12 @@ class TestRunningAverage:
     def test_constant_series(self):
         t = np.linspace(0.0, 10.0, 101)
         avg = running_average(t, np.full_like(t, 0.3))
-        assert np.allclose(avg.values, 0.3, atol=1e-14)
+        assert np.allclose(avg, 0.3, atol=1e-14)
 
     def test_linear_ramp(self):
         t = np.linspace(0.0, 10.0, 1001)
         avg = running_average(t, t)
-        assert np.allclose(avg.values, avg.times / 2, rtol=1e-10)
+        assert np.allclose(avg, t[1:] / 2, rtol=1e-10)
 
     def test_needs_two_samples_from_zero(self):
         with pytest.raises(ValueError):
@@ -48,16 +48,14 @@ class TestRunningAverage:
         split = len(t) // 3
         first = np.trapezoid(x[:split + 1], t[:split + 1])
         second = np.trapezoid(x[split:], t[split:])
-        assert avg.values[-1] * t[-1] == pytest.approx(first + second,
-                                                       rel=1e-12)
+        assert avg[-1] * t[-1] == pytest.approx(first + second, rel=1e-12)
 
     def test_refinement_stability(self):
         coarse = simulate_ne9(horizon=20.0, sample_step=0.02)
         fine = simulate_ne9(horizon=20.0, sample_step=0.01)
         a_coarse = running_average(coarse.times, coarse.states[:, 0])
         a_fine = running_average(fine.times, fine.states[:, 0])
-        assert a_coarse.values[-1] == pytest.approx(a_fine.values[-1],
-                                                    abs=1e-3)
+        assert a_coarse[-1] == pytest.approx(a_fine[-1], abs=1e-3)
 
 
 class TestNe9:
@@ -80,7 +78,7 @@ class TestNe9:
 
     def test_long_run_average(self, ne9_run):
         avg = running_average(ne9_run.times, ne9_run.states[:, 0])
-        assert avg.values[-1] == pytest.approx(0.14, abs=0.05)
+        assert avg[-1] == pytest.approx(0.14, abs=0.05)
 
 
 class TestModulated:

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from capedu import cli, control
 from capedu.analysis import controlled_equilibrium
-from capedu.control import (
-    find_tipping, long_run_outcome, simulate_controlled, tipping_seed,
-)
+from capedu.control import find_tipping, simulate_controlled, tipping_seed
 from capedu.errors import NoSignChange, ValidationError
 from capedu.model import EconState, ModelParams, output
 
@@ -484,29 +482,32 @@ class TestFindTipping:
 
 
 class TestLongRunOutcome:
+    """The long-run outcome under a target p: output Y0 at the controlled
+    equilibrium and consumption C = p * Y0."""
+
     @pytest.mark.parametrize("p_target,expected", [
         (0.40, (1.94195, 0.77678)),
         (0.47, (1.60357, 0.75368)),
         (0.55, (1.04871, 0.57679)),
     ])
     def test_analytic_outcomes(self, baseline_params, p_target, expected):
-        Y, C = long_run_outcome(baseline_params, p_target)
+        Y = controlled_equilibrium(baseline_params, p_target).Y0
         assert Y == pytest.approx(expected[0], abs=1e-5)
-        assert C == pytest.approx(expected[1], abs=1e-5)
-        assert C == pytest.approx(p_target * Y, rel=1e-14)
+        assert p_target * Y == pytest.approx(expected[1], abs=1e-5)
 
     def test_output_decreasing_in_target(self, baseline_params):
         grid = np.linspace(0.05, 0.55, 26)
-        outputs = [long_run_outcome(baseline_params, p)[0] for p in grid]
+        outputs = [controlled_equilibrium(baseline_params, p).Y0
+                   for p in grid]
         assert np.all(np.diff(outputs) < 0)
 
     def test_floor_above_s_r_star_leaves_the_outcome_unchanged(
             self, baseline_params):
         floored = replace(baseline_params, s_r_floor=0.1)  # s_r* = 0.05
-        assert long_run_outcome(floored, 0.55) == \
-            long_run_outcome(baseline_params, 0.55)
+        assert controlled_equilibrium(floored, 0.55).Y0 == \
+            controlled_equilibrium(baseline_params, 0.55).Y0
 
     def test_consumption_non_monotone(self, baseline_params):
-        c47 = long_run_outcome(baseline_params, 0.47)[1]
-        c55 = long_run_outcome(baseline_params, 0.55)[1]
+        c47 = 0.47 * controlled_equilibrium(baseline_params, 0.47).Y0
+        c55 = 0.55 * controlled_equilibrium(baseline_params, 0.55).Y0
         assert c47 > c55

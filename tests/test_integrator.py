@@ -80,6 +80,28 @@ def test_deterministic_reruns():
     assert np.array_equal(a.times, b.times)
 
 
+def test_stats_count_the_hand_counted_run():
+    # y' = -y on [0, 1] at sample 0.1: 22 steps, all accepted (the
+    # benchmark's hand count), from the initial step to a ~0.093 step
+    stats = integrate(decay, [1.0], 0.0, 1.0, sample_step=0.1).stats
+    assert (stats.steps, stats.accepted, stats.domain_rejected) == (22, 22, 0)
+    assert stats.h_min == _INITIAL_STEP
+    assert stats.h_max == pytest.approx(0.0927, abs=1e-4)
+    # decay returns an ndarray, whose elements are numpy floats
+    assert type(stats.h_min) is float and type(stats.h_max) is float
+    assert stats.wall_s > 0.0
+
+
+def test_stats_count_a_landing_step_and_no_step():
+    # the initial step of 1e-3, then one shortened to land on t1
+    stats = integrate(decay, [1.0], 0.0, 1.5e-3, sample_step=1.5e-3).stats
+    assert (stats.h_min, stats.h_max) == pytest.approx((5e-4, 1e-3))
+    # t1 within the landing tolerance of t0: no step is taken
+    stats = integrate(decay, [1.0], 0.0, 1e-15, sample_step=0.1).stats
+    assert (stats.steps, stats.accepted) == (0, 0)
+    assert math.isnan(stats.h_min) and math.isnan(stats.h_max)
+
+
 def test_step_limit_exceeded(monkeypatch):
     monkeypatch.setattr(integrator, "_MAX_STEPS", 3)
     with pytest.raises(StepLimitExceeded, match="max_steps=3 reached"):
@@ -418,6 +440,11 @@ def reference_integrate(field, y0, t0, t1, settings, sample_step,
     return grid, np.array(out)
 
 
+def counts(raw):
+    """A run's stats but its wall time, which two runs do not share."""
+    return replace(raw.stats, wall_s=0.0)
+
+
 def assert_same_bits(field, y0, t1, settings, sample_step, t0=0.0):
     raw = integrate(field, y0, t0, t1, settings, sample_step)
     times, states = reference_integrate(field, y0, t0, t1, settings,
@@ -589,10 +616,15 @@ def test_same_bits_as_reference_loop_through_rejected_steps(name):
     times, states = reference_integrate(field, *args, rejected=rejected)
     assert calls == 1 + 6 * attempts
     assert len(rejected) == rejections  # the reject branch ran
+    stats = raw.stats
+    assert (stats.steps, stats.steps - stats.accepted,
+            stats.domain_rejected) == (attempts, rejections, 0)
     assert np.array_equal(raw.times, times)
     assert np.array_equal(raw.states, states)
     # the march's own inlined path takes the same steps
-    assert np.array_equal(integrate(field, *args).states, states)
+    inlined = integrate(field, *args)
+    assert np.array_equal(inlined.states, states)
+    assert counts(inlined) == counts(raw)
 
 
 def test_list_and_ndarray_fields_give_the_same_bits():
@@ -625,6 +657,7 @@ def test_inlined_and_opaque_fields_give_the_same_bits(name):
     assert calls > 1  # the wrapper took the opaque path
     assert np.array_equal(inlined.times, opaque.times)
     assert np.array_equal(inlined.states, opaque.states)
+    assert counts(inlined) == counts(opaque)
 
 
 FAST_DECAY = replace(BASELINE, delta_k=50.0)
@@ -647,6 +680,8 @@ def test_inlined_and_opaque_fields_raise_the_same_domain_error(
     assert np.array_equal(inlined.times, opaque.times)
     assert np.array_equal(inlined.states, opaque.states)
     assert np.all(inlined.states[:, :2] > 0)
+    assert counts(inlined) == counts(opaque)
+    assert inlined.stats.domain_rejected > 0
 
 
 def test_wrapped_model_field_of_the_wrong_length_names_the_step():

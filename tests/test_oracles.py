@@ -221,17 +221,23 @@ TINY = ModelParams(s_k=0.5, s_r=0.03125, delta_k=0.5, delta_r=0.5,
                    alpha=0.75, beta=0.125)
 
 
-@pytest.mark.parametrize("params,start,horizon", [
+# counts: the run's (steps, accepted, domain_rejected); each run has attempts
+# that a stage outside the domain ended
+@pytest.mark.parametrize("params,start,horizon,counts", [
     # from K = E = 1 over 40 slowest time constants, to K0 = 1.7e-9
-    (replace(TINY, alpha=0.796875, beta=0.09375), [1.0, 1.0], 731.4),
+    (replace(TINY, alpha=0.796875, beta=0.09375), [1.0, 1.0], 731.4,
+     (233, 225, 2)),
     # from K0 (1 + 1e-9), E0 beside the equilibrium K0 = 5.96e-8, E0 = 3.73e-9
     # (at the equilibrium itself the field is about 0, and no stage moves)
-    (TINY, None, 320.0),
+    (TINY, None, 320.0, (54, 50, 1)),
 ], ids=["from_one", "beside_the_equilibrium"])
-def test_tiny_stocks_runs_end_at_the_equilibrium(params, start, horizon):
+def test_tiny_stocks_runs_end_at_the_equilibrium(params, start, horizon,
+                                                 counts):
     K0, E0 = equilibrium(params)
     raw = integrate(basic_rhs(params), start or [K0 * (1 + 1e-9), E0], 0.0,
                     horizon, sample_step=horizon)
+    stats = raw.stats
+    assert (stats.steps, stats.accepted, stats.domain_rejected) == counts
     K, E = raw.states[-1]
     assert K > 0 and E > 0
     assert abs(K - K0) <= DEFAULT_SETTINGS.abs_tol

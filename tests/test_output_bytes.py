@@ -3,9 +3,10 @@
 Each digest was taken from the writer before it worked on whole columns,
 each `capedu plot` digest from the renderer before it formatted the
 points in numpy, each `capedu equilibrium` digest before the controlled
-report was built in one step, and each `capedu tipping` stdout before the
-search probed its seed pair and its ends in one loop; a faster or simpler
-writer, renderer, report or search must keep every byte.
+report was built in one step, each `capedu tipping` stdout before the
+search probed its seed pair and its ends in one loop, and each `capedu
+chaos` stdout before the running average lost its wrapper; a faster or
+simpler writer, renderer, report, search or average must keep every byte.
 """
 
 import hashlib
@@ -161,4 +162,20 @@ def test_cli_tipping_stdout(flags, stdout, capsys):
     assert run(["tipping", "--scenario",
                 str(SCENARIO_DIR / "controlled_p047.json"),
                 "--p-min", "0.40", "--p-max", "0.55"] + flags) == 0
+    assert capsys.readouterr().out == stdout
+
+
+# each `capedu chaos` stdout before running_average returned a bare array
+CHAOS_STDOUT = [
+    ([], "A(100)=0.150539\n"),
+    (["--sample-step", "1"], "A(100)=0.150771\n"),
+    (["--sample-step", "1", "--rel-tol", "1e-5", "--abs-tol", "1e-7"],
+     "A(100)=0.150794\n"),
+    (["--horizon", "20", "--b", "0.6"], "A(20)=0.179959\n"),
+]
+
+
+@pytest.mark.parametrize("flags,stdout", CHAOS_STDOUT)
+def test_cli_chaos_stdout(flags, stdout, capsys):
+    assert run(["chaos"] + flags) == 0
     assert capsys.readouterr().out == stdout

@@ -14,9 +14,7 @@ import pytest
 
 from capedu.analysis import controlled_equilibrium
 from capedu.cli import run
-from capedu.control import (
-    check_control, find_tipping, long_run_outcome, tipping_seed,
-)
+from capedu.control import check_control, find_tipping, tipping_seed
 from capedu.errors import ValidationError
 from capedu.integrator import IntegratorSettings, integrate
 from capedu.model import EconState, ModelParams
@@ -87,9 +85,8 @@ def test_library_names_the_input(name, value):
 @pytest.mark.parametrize("p", [0.0, -0.1, 0.6, 0.7, math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda p: controlled_equilibrium(PARAMS, p),
-    lambda p: long_run_outcome(PARAMS, p),
     lambda p: check_control(PARAMS, p, 0.1),
-], ids=["controlled_equilibrium", "long_run_outcome", "check_control"])
+], ids=["controlled_equilibrium", "check_control"])
 def test_target_rule(call, p):
     # 0 < p < 1 - s_k = 0.6 keeps s_r* = 1 - s_k - p positive
     with pytest.raises(ValidationError) as exc:
