@@ -69,5 +69,5 @@ def simulate_modulated(params: ModelParams, c: float, econ0: EconState,
     y0 = np.array([econ0.K, econ0.E, *chaos0])
     raw = integrate(model.modulated_rhs(params, c, b), y0,
                     0.0, horizon, settings or CHAOS_SETTINGS, sample_step)
-    return build_trajectory(params, raw, ("K", "E", "x", "y", "z"),
+    return build_trajectory(params, raw, model.MODULATED.states,
                             s_k=params.s_k + c * raw.states[:, 2])

@@ -100,16 +100,16 @@ def _cmd_tipping(args) -> str:
     s_r0 = args.s_r0
     if s_r0 is None:
         s_r0 = scenario.control.s_r0 if scenario.control is not None else 0.1
+    horizon = args.horizon if args.horizon is not None else scenario.horizon
     result = control_mod.find_tipping(
-        scenario.params, scenario.initial, s_r0,
-        args.horizon if args.horizon is not None else scenario.horizon,
+        scenario.params, scenario.initial, s_r0, horizon,
         args.p_min, args.p_max, args.tol, scenario.integrator)
     lines = [
         f"p_star={result.p_star:.6g}",
         f"bracket={result.bracket[0]:.6g},{result.bracket[1]:.6g}",
         f"growth_at_bracket={result.growth_at_bracket[0]:.6g},"
         f"{result.growth_at_bracket[1]:.6g}",
-        f"horizon={result.horizon_used:.6g}",
+        f"horizon={horizon:.6g}",
     ]
     return "\n".join(lines) + "\n"
 

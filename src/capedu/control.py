@@ -29,7 +29,6 @@ class TippingResult:
     p_star: float
     bracket: tuple[float, float]
     growth_at_bracket: tuple[float, float]  # Y(T) - Y(0) at the bracket ends
-    horizon_used: float
 
 
 def check_control(params: ModelParams, p: float, s_r0: float) -> None:
@@ -52,8 +51,7 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
     y0 = np.array([econ0.K, econ0.E, s_r0])
     raw = integrate(model.control_rhs(params, p), y0,
                     0.0, horizon, settings, sample_step)
-    return build_trajectory(params, raw, ("K", "E", "s_r"),
-                            s_r=raw.states[:, 2])
+    return build_trajectory(params, raw, model.CONTROLLED.states)
 
 
 def tipping_seed(params: ModelParams, econ0: EconState, s_r0: float,
@@ -164,4 +162,4 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
             hi, g_hi = x, g_x
         n -= 1
     p_star = lo if g_lo == 0.0 else hi if g_hi == 0.0 else 0.5 * (lo + hi)
-    return TippingResult(p_star, (lo, hi), (g_lo, g_hi), horizon)
+    return TippingResult(p_star, (lo, hi), (g_lo, g_hi))

@@ -251,6 +251,15 @@ def _where(t: float, h: float, y: Sequence[float]) -> str:
     return f"from t={t:.6g} with h={h:.6g}, y=[{state}]"
 
 
+def _float_results(field: Callable) -> Callable:
+    """field with each result a list of Python floats: .tolist() of an
+    ndarray, float() of each number of any other sequence."""
+    def floats(y):
+        k = field(y)
+        return k.tolist() if type(k) is np.ndarray else list(map(float, k))
+    return floats
+
+
 def integrate(
     field: Callable[[np.ndarray], Sequence[float]],
     y0,
@@ -263,6 +272,10 @@ def integrate(
 
     field takes the state as a 1-D float ndarray and returns, on every call,
     a sequence of exactly as many numbers: a list, a tuple or an ndarray.
+    Every value enters the march as a Python float: a field whose first
+    result holds anything else has each result converted, and t0, the
+    tolerances and a model field's constants are converted once, so that
+    numpy inputs give the bits and steps of the same floats.
     The march is generated from the tableau once for each state dimension,
     and once for each model System: a field that System.bind made carries
     .system and .constants, and its expressions are inlined at each stage
@@ -317,15 +330,17 @@ def integrate(
         raise ValueError(
             f"field returned a result of shape {np.shape(k)} for a state of "
             f"{start.size} ({_where(t0, _INITIAL_STEP, start.tolist())})")
+    if system is None and not all(type(v) is float for v in k):
+        field, k = _float_results(field), list(map(float, k))
     states = np.empty((len(grid), start.size))
     states[0] = start
     stops = grid[1:] - 1e-14 * np.maximum(1.0, np.abs(grid[1:]))
     steps, accepted, domain_rejected, h_min, h_max = _step_for(
         start.size, system)(
-        k, t0, _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
-        memoryview(states.ravel()), _MAX_STEPS, h_floor, settings.rel_tol,
-        settings.abs_tol, *(field.constants if system is not None else (field,)))
-    # float(): a field that returns an ndarray makes h a numpy float64
-    stats = IntegratorStats(steps, accepted, domain_rejected, float(h_min),
-                            float(h_max), time.perf_counter() - wall)
+        k, float(t0), _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
+        memoryview(states.ravel()), _MAX_STEPS, float(h_floor),
+        float(settings.rel_tol), float(settings.abs_tol),
+        *(field.constants if system is not None else (field,)))
+    stats = IntegratorStats(steps, accepted, domain_rejected, h_min, h_max,
+                            time.perf_counter() - wall)
     return RawTrajectory(times=grid, states=states, stats=stats)

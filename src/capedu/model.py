@@ -159,9 +159,11 @@ class System:
 
         It takes a flat float ndarray and returns a list of Python floats,
         and carries .system and .constants, so that integrate inlines it.
+        The constants are stored as Python floats, so a numpy scalar does
+        not carry through every sum of the march.
         """
-        constants = tuple(values[name] if name in values
-                          else getattr(params, name)
+        constants = tuple(float(values[name] if name in values
+                                else getattr(params, name))
                           for name in self.constants)
         rhs = self._array_form(*constants)
         rhs.system, rhs.constants = self, constants

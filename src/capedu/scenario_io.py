@@ -196,7 +196,7 @@ def run_scenario(scenario: Scenario) -> Trajectory:
     y0 = np.array([s.initial.K, s.initial.E])
     raw = integrate(model.basic_rhs(s.params), y0, 0.0, s.horizon,
                     s.integrator, s.sample_step)
-    return build_trajectory(s.params, raw, ("K", "E"))
+    return build_trajectory(s.params, raw, model.BASIC.states)
 
 
 @dataclass(frozen=True)
@@ -318,9 +318,11 @@ def write_sweep_csv(rows: list[SweepRow]) -> str:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
-# A polyline of fewer points is formatted point by point: with cold caches
-# numpy's fixed cost is the larger below about 200 points.
-_FIXED2_MIN_POINTS = 256
+# A polyline of fewer points is formatted point by point.  Median times of
+# `capedu plot --columns Y,C` in one process (Python 3.11, numpy 2.4, a
+# 2-vCPU host), per point then numpy: 482 and 551 us at 41 points, 658 and
+# 668 at 101, 678 and 664 at 129, 759 and 690 at 201.
+_FIXED2_MIN_POINTS = 128
 # values per numpy pass; one pass over a whole long polyline raises peak RSS
 _FIXED2_BLOCK = 8192
 _SPLIT = 134217729.0  # 2**27 + 1: v * _SPLIT splits v into two 26-bit halves
@@ -381,7 +383,7 @@ def render_svg(series, title: str = "") -> str:
 
     Each point is written as "{:.2f},{:.2f}".format writes it: the exact
     binary value rounded to hundredths, a tie to the even neighbour.  A
-    polyline of 256 points or more is formatted in numpy to the same text;
+    polyline of 128 points or more is formatted in numpy to the same text;
     a shorter one is formatted point by point.  A series with a value that
     is not finite, or whose values widen the plotted range past the largest
     double, raises ValidationError naming it.
@@ -475,9 +477,9 @@ class PhasePortrait:
 
 def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
                    horizon: float = 300.0,
-                   settings: IntegratorSettings | None = None,
-                   sample_step: float = 1.0) -> PhasePortrait:
-    """Vector-field samples on a grid plus one trajectory seeded per node."""
+                   settings: IntegratorSettings | None = None) -> PhasePortrait:
+    """Vector-field samples on a grid plus one trajectory seeded per node,
+    sampled every 1.0."""
     require_positive("horizon", horizon)  # first, as in find_tipping
     for name, (lo, hi) in (("k_range", k_range), ("e_range", e_range)):
         if not 0 < float(lo) < float(hi) < math.inf:
@@ -497,8 +499,7 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
             dK, dE = rhs(np.array([K, E]))
             samples.append((K, E, dK, dE))
             trajectories.append(
-                integrate(rhs, np.array([K, E]), 0.0, horizon,
-                          settings, sample_step))
+                integrate(rhs, np.array([K, E]), 0.0, horizon, settings, 1.0))
     eq = None
     with contextlib.suppress(StructurallyUnstable):  # s_k = 0 or out of range
         eq = equilibrium(params) if params.alpha + params.beta < 1 else None

@@ -17,8 +17,11 @@ def sample_index(times: np.ndarray, t: float) -> int | None:
     """Index of the sample at time t, or None when t is not a sample time.
 
     A time within 1e-9 of the first sample interval of a sample counts as
-    that sample, so a time written in decimal finds its grid point.
+    that sample, so a time written in decimal finds its grid point.  A
+    series of one sample has no interval: only its own time matches.
     """
+    if len(times) < 2:
+        return 0 if len(times) and times[0] == t else None
     i = int(np.argmin(np.abs(times - t)))
     return i if abs(times[i] - t) <= 1e-9 * (times[1] - times[0]) else None
 
@@ -48,24 +51,23 @@ class Trajectory:
 
 def build_trajectory(params: ModelParams, raw: RawTrajectory,
                      state_columns: tuple[str, ...],
-                     s_k: np.ndarray | None = None,
-                     s_r: np.ndarray | None = None) -> Trajectory:
+                     s_k: np.ndarray | None = None) -> Trajectory:
     """Attach Y, C, I_k, I_r to a raw trajectory with the named state columns.
 
-    Pass s_k or s_r as the per-sample series of a fraction the run varies.
-    Each flag comes only from a series passed: constraint_violation from s_r
-    leaving [s_r_floor, 1 - s_k], min_effective_sk from s_k.
+    Pass s_k as the per-sample series of a capital fraction the run varies;
+    a state column named s_r is the series of a varied education fraction.
+    Each flag comes only from a varied series: constraint_violation from
+    s_r leaving [s_r_floor, 1 - s_k], min_effective_sk from s_k.
     """
     data = {name: raw.states[:, j].copy() for j, name in enumerate(state_columns)}
     Y = output(params, data["K"], data["E"])
     # a varied fraction enters its flow and C, so C + I_k + I_r = Y per row
     sk = params.s_k if s_k is None else s_k
-    sr = params.s_r if s_r is None else s_r
+    sr = data.get("s_r", params.s_r)
     data.update(Y=Y, C=(1.0 - sk - sr) * Y, I_k=sk * Y, I_r=sr * Y)
-    violated = s_r is not None and bool(
-        np.any(s_r < params.s_r_floor) or np.any(s_r > 1.0 - params.s_k))
+    violated = "s_r" in data and bool(
+        np.any(sr < params.s_r_floor) or np.any(sr > 1.0 - params.s_k))
     min_eff = None if s_k is None else float(np.min(s_k))
-    return Trajectory(columns=tuple(state_columns) + ("Y", "C", "I_k", "I_r"),
-                      times=raw.times.copy(), data=data,
+    return Trajectory(columns=tuple(data), times=raw.times.copy(), data=data,
                       constraint_violation=violated, min_effective_sk=min_eff,
                       stats=raw.stats)

@@ -120,7 +120,6 @@ class TestFindTipping:
         assert result.bracket[0] < result.p_star < result.bracket[1]
         g_lo, g_hi = result.growth_at_bracket
         assert g_lo * g_hi < 0
-        assert result.horizon_used == 200.0
 
     def test_crit_6_search_makes_two_runs(self, baseline_params, start_4_1):
         # the seed pair around the closed-form root holds the root, so the

@@ -1,7 +1,8 @@
 import ast
 import builtins
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -633,6 +634,43 @@ def test_list_and_ndarray_fields_give_the_same_bits():
     as_list = integrate(field, *args)
     as_array = integrate(lambda v: np.array(field(v)), *args)
     assert np.array_equal(as_list.states, as_array.states)
+
+
+@pytest.mark.parametrize("convert", [np.array, lambda k: list(np.array(k))],
+                         ids=["ndarray", "numpy scalars"])
+def test_numpy_results_run_the_march_on_floats(convert):
+    field = ne9_rhs()
+    args = ([0.5, 0.0, 0.0], 0.0, 20.0, CHAOS_SETTINGS, 1.0)
+    as_list = integrate(lambda v: field(v), *args)
+    calls, raw = rhs_calls(integrate, lambda v: convert(field(v)), *args)
+    assert calls == 1 + 6 * raw.stats.steps  # one call of the field per stage
+    assert np.array_equal(raw.states, as_list.states)
+    assert counts(raw) == counts(as_list)
+    # no cast after the march: its own step sizes are Python floats
+    assert type(raw.stats.h_min) is float and type(raw.stats.h_max) is float
+
+
+def test_numpy_params_times_and_tolerances_run_on_floats():
+    as_float = integrate(control_rhs(BASELINE, 0.47), [4.0, 1.0, 0.1], 0.0,
+                         200.0)
+    params = ModelParams(*map(np.float64, astuple(BASELINE)))
+    field = control_rhs(params, np.float64(0.47))
+    assert all(type(c) is float for c in field.constants)
+    settings = IntegratorSettings(*map(np.float64, astuple(DEFAULT_SETTINGS)))
+    raw = integrate(field, np.array([4.0, 1.0, 0.1]), np.float64(0.0),
+                    np.float64(200.0), settings, np.float64(0.1))
+    assert np.array_equal(raw.states, as_float.states)
+    assert counts(raw) == counts(as_float)
+    assert type(raw.stats.h_min) is float and type(raw.stats.h_max) is float
+
+
+def test_overflow_of_a_numpy_field_is_a_non_finite_state():
+    # on numpy scalars the march's sums would overflow with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            integrate(lambda y: np.array([1e300]), [1e300], 0.0, 1e10,
+                      sample_step=1e10)
 
 
 # the four model systems, whose expressions integrate inlines into the step;

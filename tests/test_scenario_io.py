@@ -480,6 +480,17 @@ class TestRunScenario:
                 traj.at(off_grid)
             assert exc.value.field == "t"
 
+    def test_at_on_fewer_than_two_samples(self):
+        one = Trajectory(columns=("K",), times=np.array([2.0]),
+                         data={"K": np.array([4.0])})
+        assert one.at(2.0) == {"K": 4.0}
+        empty = Trajectory(columns=("K",), times=np.empty(0),
+                           data={"K": np.empty(0)})
+        for traj, t in ((one, 2.0 + 1e-12), (one, 0.0), (empty, 0.0)):
+            with pytest.raises(ValidationError) as exc:
+                traj.at(t)
+            assert exc.value.field == "t"
+
     def test_equal_start_same_equilibrium_different_path(self):
         a = run_scenario(read_scenario("basic_baseline.json"))
         b = run_scenario(read_scenario("basic_equal_start.json"))
@@ -524,6 +535,17 @@ class TestSweep:
         row = run_sweep(spec)[0]
         ref = run_scenario(base).at(200.0)
         assert row.Y == ref["Y"] and row.C == ref["C"]
+
+    def test_numpy_values_give_the_rows_of_floats(self):
+        base = replace(read_scenario("basic_baseline.json"), sample_step=1.0)
+        values = np.array([0.25, 0.21, 0.17])
+        rows = run_sweep(SweepSpec(base=base, parameter="delta_r",
+                                   values=tuple(values), report_time=200.0))
+        want = run_sweep(SweepSpec(base=base, parameter="delta_r",
+                                   values=tuple(values.tolist()),
+                                   report_time=200.0))
+        assert [(r.Y, r.C, r.error) for r in rows] == \
+            [(r.Y, r.C, r.error) for r in want]
 
     def test_endpoint_only_row_matches_single_run(self):
         # crit 10 where the steps are set by error control alone: with one
@@ -1043,7 +1065,7 @@ class TestPhasePortrait:
 
     def test_phase_csv_shape(self, baseline_params):
         portrait = phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
-                                  grid=(2, 2), horizon=2.0, sample_step=1.0)
+                                  grid=(2, 2), horizon=2.0)
         lines = write_phase_csv(portrait).strip().split("\n")
         assert lines[0] == "record,index,t,K,E,dK,dE"
         assert sum(ln.startswith("field,") for ln in lines) == 4
