@@ -886,7 +886,7 @@ class TestRenderSvg:
     @pytest.mark.parametrize("value", [
         0.0, -0.0, 999.99, 999.995, 1e3, 1e17, -1e308,
         np.finfo(float).max, -np.finfo(float).max, 5e-324])
-    @pytest.mark.parametrize("size", [3, _FIXED2_MIN_POINTS])
+    @pytest.mark.parametrize("size", [3, _FIXED2_MIN_POINTS, 256])
     def test_any_finite_data_maps_into_the_plot(self, value, size):
         # every coordinate lies in [40, 780], so a long polyline always
         # takes the numpy formatter and never its fallback
