@@ -213,6 +213,8 @@ class SweepSpec:
             raise ValidationError(
                 "parameter", f"{self.parameter} is not a field of the blocks "
                 f"of a {kind} scenario ({', '.join(blocks)})")
+        # an ndarray has no truth value; its elements stay as given
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValidationError("values", "must be non-empty")
         # checked before any run, by the rule Trajectory.at applies

@@ -60,7 +60,10 @@ def build_trajectory(params: ModelParams, raw: RawTrajectory,
     s_r leaving [s_r_floor, 1 - s_k], min_effective_sk from s_k.
     """
     data = {name: raw.states[:, j].copy() for j, name in enumerate(state_columns)}
-    Y = output(params, data["K"], data["E"])
+    # per sample on floats: the march's libm pow, where numpy's SIMD power
+    # differs in the last bit by host
+    Y = np.array([output(params, k, e) for k, e in
+                  zip(data["K"].tolist(), data["E"].tolist())], dtype=float)
     # a varied fraction enters its flow and C, so C + I_k + I_r = Y per row
     sk = params.s_k if s_k is None else s_k
     sr = data.get("s_r", params.s_r)

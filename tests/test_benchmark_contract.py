@@ -81,16 +81,17 @@ CONTROLLED = str(SCENARIOS / "controlled_p047.json")
     # a tolerance wider than the bracket searches nothing: one run per end
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "1", "--horizon", "20"), 2),
-    # criterion 6's search: the 2 seed runs around the closed-form root
-    # hold the root and the ends never run, where ITP made 6 and bisection 10
+    # criterion 6's search: the 2 runs around the closed-form root hold the
+    # root and the ends never run, where ITP made 6 and bisection 10
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "1e-3"), 2),
     # the same search at dense_chaos's tol 0.05, where ITP made 4
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
           "--p-max", "0.55", "--tol", "0.05"), 2),
-    # at T = 50 the seed's bound closes the gate: the ends and 4 ITP runs
+    # a tol as wide as the bracket leaves no room for a pair: the ends and
+    # one ITP run
     (_cli("tipping", "--scenario", CONTROLLED, "--p-min", "0.40",
-          "--p-max", "0.55", "--tol", "1e-3", "--horizon", "50"), 6),
+          "--p-max", "0.55", "--tol", "0.15"), 3),
     (_cli("phase", "--scenario", BASIC, "--k-range", "1:6",
           "--e-range", "0.5:3", "--grid", "2x2", "--horizon", "5"), 4),
     (_chaotic_scenario_built_in_code(), 1),

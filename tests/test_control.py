@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capedu import cli, control
-from capedu.analysis import controlled_equilibrium
-from capedu.control import find_tipping, simulate_controlled, tipping_seed
+from capedu.analysis import controlled_equilibrium, tipping_root
+from capedu.control import find_tipping, simulate_controlled
 from capedu.errors import NoSignChange, ValidationError
 from capedu.model import EconState, ModelParams, output
 
@@ -122,8 +122,8 @@ class TestFindTipping:
         assert g_lo * g_hi < 0
 
     def test_crit_6_search_makes_two_runs(self, baseline_params, start_4_1):
-        # the seed pair around the closed-form root holds the root, so the
-        # ends never run; ITP made 6 and bisection 2 + ceil(log2(150)) = 10
+        # the pair around the closed-form root holds the root, so the ends
+        # never run; ITP made 6 and bisection 2 + ceil(log2(150)) = 10
         with counted_runs(2) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
@@ -131,8 +131,8 @@ class TestFindTipping:
         assert result.bracket[1] - result.bracket[0] <= 1e-3
 
     def test_seed_pair_is_the_bracket(self, baseline_params, start_4_1):
-        p_inf, gap = tipping_seed(baseline_params, start_4_1, 0.1, 200.0)
-        assert gap < 0.5e-3
+        p_inf = tipping_root(baseline_params,
+                             output(baseline_params, start_4_1.K, start_4_1.E))
         # p_inf +- tol/2 rounds to a pair wider than tol, which would cost
         # a third run; the search steps its upper end down
         assert (p_inf + 0.5e-3) - (p_inf - 0.5e-3) > 1e-3
@@ -155,33 +155,17 @@ class TestFindTipping:
         assert runs == list(bracket) and result.bracket == bracket
         assert result.p_star == 0.5 * (bracket[0] + bracket[1])
 
-    def test_seed_needs_a_stable_equilibrium_at_p_inf(self, baseline_params,
-                                                      start_4_1):
-        seed = tipping_seed(baseline_params, start_4_1, 0.1, 200.0)
-        # a floor above s_r* only flags runs: the same seed
-        floored = replace(baseline_params, s_r=0.25, s_r_floor=0.2)
-        assert tipping_seed(floored, start_4_1, 0.1, 200.0) == seed
-        # a saddle has no rate to decay at; s_k = 0 no equilibrium at all
-        saddle = replace(baseline_params, alpha=0.6, beta=0.6)
-        assert tipping_seed(saddle, start_4_1, 0.1, 200.0)[1] == math.inf
-        none = tipping_seed(replace(baseline_params, s_k=0.0), start_4_1,
-                            0.1, 200.0)
-        assert math.isnan(none[0]) and none[1] == math.inf
-
-    # the runs and results the search made before it had a seed; the seed's
-    # gate stays closed where the bound on the root's distance from p_inf is
-    # not below tol / 2 (T = 20 and 50; T = 200 at tol 1e-6)
+    # where a gate on p_inf's distance from the root kept the pair from
+    # running, the ends and ITP made 6, 6 and 8 runs; the pair and a secant
+    # pair make 4 at T = 20, and the pair alone 2 at T = 50 and at tol 1e-6
     @pytest.mark.parametrize("horizon,tol,runs,bracket", [
-        (20.0, 1e-3, [0.4, 0.55, 0.47500000000000003, 0.45568301459831245,
-                      0.46477736153318666, 0.464354220344709],
-         (0.464354220344709, 0.46477736153318666)),
-        (50.0, 1e-3, [0.4, 0.55, 0.47500000000000003, 0.4573705498189509,
-                      0.4661852749094755, 0.4658960830883987],
-         (0.4658960830883987, 0.4661852749094755)),
-        (200.0, 1e-6, [0.4, 0.55, 0.47500000000000003, 0.4575344116493559,
-                       0.46626720582467795, 0.4660466920737662,
-                       0.46615047112407154, 0.46615041706142046],
-         (0.46615041706142046, 0.46615047112407154)),
+        (20.0, 1e-3, [0.46565043307000026, 0.4666504330700002,
+                      0.463975245345051, 0.46497524534505097],
+         (0.463975245345051, 0.46497524534505097)),
+        (50.0, 1e-3, [0.46565043307000026, 0.4666504330700002],
+         (0.46565043307000026, 0.4666504330700002)),
+        (200.0, 1e-6, [0.46614993307000024, 0.4661509330700002],
+         (0.46614993307000024, 0.4661509330700002)),
     ])
     def test_closed_gate_makes_the_unseeded_runs(self, baseline_params,
                                                  start_4_1, horizon, tol,
@@ -192,31 +176,6 @@ class TestFindTipping:
         assert made == runs
         assert result.bracket == bracket
         assert result.p_star == 0.5 * (bracket[0] + bracket[1])
-
-    @settings(max_examples=30, deadline=None)
-    @given(draws=tipping_draws(), shorter=st.one_of(st.just(1.0),
-                                                    st.floats(0.05, 1.0)))
-    def test_root_at_the_horizon_lies_within_the_seed_bound(self, draws,
-                                                            shorter):
-        # the root by Brent's method on the runs themselves, never through
-        # find_tipping; shorter horizons try the bound where the start has
-        # not yet decayed, and at the drawn ones the gate opens at tol 1e-3
-        optimize = pytest.importorskip("scipy.optimize")
-        params, start, horizon, p_low, p_high = draws
-        horizon *= shorter
-        y_start = output(params, start.K, start.E)
-
-        def growth(p):
-            traj = simulate_controlled(params, p, start, 0.1, horizon,
-                                       sample_step=horizon)
-            return float(traj["Y"][-1]) - y_start
-
-        assume(growth(p_low) * growth(p_high) < 0)
-        root = optimize.brentq(growth, p_low, p_high, xtol=1e-15)
-        p_inf, gap = tipping_seed(params, start, 0.1, horizon)
-        assert abs(root - p_inf) <= gap
-        if shorter == 1.0:
-            assert gap < 0.5e-3
 
     @settings(max_examples=30, deadline=None)
     @given(draws=tipping_draws(), tol=st.floats(1e-3, 0.1))
@@ -242,6 +201,31 @@ class TestFindTipping:
         lo, hi = result.bracket
         assert p_low < lo <= root <= hi < p_high
 
+    @settings(max_examples=30, deadline=None)
+    @given(draws=tipping_draws(), horizon=st.integers(20, 300).map(float),
+           tol=st.sampled_from([1e-3, 1e-6]))
+    def test_pairs_hold_the_root_within_bisections_runs(self, draws, horizon,
+                                                        tol):
+        # at a short horizon the root lies further from the closed-form one,
+        # and secant pairs or the ends must find it; no search may make more
+        # runs than bisection
+        optimize = pytest.importorskip("scipy.optimize")
+        params, start, _, p_low, p_high = draws
+        y_start = output(params, start.K, start.E)
+
+        def growth(p):
+            traj = simulate_controlled(params, p, start, 0.1, horizon,
+                                       sample_step=horizon)
+            return float(traj["Y"][-1]) - y_start
+
+        assume(growth(p_low) * growth(p_high) < 0)
+        with counted_runs(bisection_runs(p_high - p_low, tol)):
+            result = find_tipping(params, start, 0.1, horizon, p_low, p_high,
+                                  tol=tol)
+        root = optimize.brentq(growth, p_low, p_high, xtol=1e-15)
+        lo, hi = result.bracket
+        assert p_low <= lo <= root <= hi <= p_high and hi - lo <= tol
+
     def test_zero_growth_at_the_low_end_returns_it(self, baseline_params,
                                                    start_4_1):
         # a run whose output at the horizon is exactly Y(0) at p_low
@@ -250,7 +234,7 @@ class TestFindTipping:
         def flat_at_low_end(params, p, *args, **kwargs):
             return {"Y": np.array([y_start if p == 0.40 else 0.5 * y_start])}
 
-        # the flat growth misses the seed pair, so the ends run after it
+        # the pair's equal growths have no secant root, so the ends run next
         x1, x2 = find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40,
                               0.55, tol=1e-3).bracket
         with mock.patch.object(control, "simulate_controlled",
@@ -263,8 +247,8 @@ class TestFindTipping:
 
     def test_zero_growth_inside_the_bracket_returns_it(self, baseline_params,
                                                        start_4_1):
-        # at T = 20 the gate stays closed; ITP's first run lands on the
-        # bracket's midpoint, where the output at the horizon is exactly Y(0)
+        # with no closed-form root no pair runs; ITP's first run lands on
+        # the bracket's midpoint, where the output at the horizon is Y(0)
         y_start = output(baseline_params, start_4_1.K, start_4_1.E)
         mid = 0.5 * (0.40 + 0.55)
 
@@ -272,9 +256,11 @@ class TestFindTipping:
             return {"Y": np.array([y_start if p == mid else
                                    y_start + mid - p])}
 
-        with mock.patch.object(control, "simulate_controlled",
-                               flat_at_mid), counted_runs(3) as runs:
-            result = find_tipping(baseline_params, start_4_1, 0.1, 20.0,
+        with mock.patch.object(control, "tipping_root",
+                               return_value=math.nan), \
+                mock.patch.object(control, "simulate_controlled",
+                                  flat_at_mid), counted_runs(3) as runs:
+            result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
         assert runs == [0.40, 0.55, mid]
         assert result.p_star == mid and result.bracket == (mid, mid)
@@ -283,37 +269,81 @@ class TestFindTipping:
     @pytest.mark.parametrize("root", [0.42, 0.5])
     def test_missed_pair_falls_back_to_the_unseeded_search(
             self, baseline_params, start_4_1, root):
-        # a growth whose root lies outside the pair, below or above it
+        # growths whose root lies outside every pair, below or above it: a
+        # step, whose equal growths have no secant root, and a cube, whose
+        # secant roots close a third of the distance per pair; the ends then
+        # make the runs of the search with no closed-form root
         y_start = output(baseline_params, start_4_1.K, start_4_1.E)
+        bound = bisection_runs(0.15, 1e-3)
+        for shape, pairs in ((lambda d: math.copysign(1.0, d), 1),
+                             (lambda d: d ** 3, control.PAIRS)):
+            def growth(params, p, *args, **kwargs):
+                return {"Y": np.array([y_start + shape(root - p)])}
+
+            with mock.patch.object(control, "simulate_controlled", growth):
+                with mock.patch.object(control, "tipping_root",
+                                       return_value=math.nan), \
+                        counted_runs(bound) as unseeded:
+                    fallback = find_tipping(baseline_params, start_4_1, 0.1,
+                                            200.0, 0.40, 0.55, tol=1e-3)
+                with counted_runs(2 * pairs + bound) as runs:
+                    result = find_tipping(baseline_params, start_4_1, 0.1,
+                                          200.0, 0.40, 0.55, tol=1e-3)
+            assert unseeded[:2] == [0.40, 0.55]
+            assert len(runs) == 2 * pairs + len(unseeded)
+            assert runs[2 * pairs:] == unseeded
+            assert result.bracket == fallback.bracket
+            # the cube's growth rounds to 0 a few doubles from its root
+            lo, hi = result.bracket
+            assert hi - lo <= 1e-3 and abs(result.p_star - root) <= 1e-3
+            g_lo, g_hi = result.growth_at_bracket
+            assert g_lo * g_hi <= 0
+
+    @pytest.mark.parametrize("changes", [dict(alpha=0.4, beta=0.6),
+                                         dict(s_k=0.0)],
+                             ids=["alpha + beta = 1", "s_k = 0"])
+    def test_no_pair_without_an_equilibrium(self, baseline_params, start_4_1,
+                                            changes):
+        # alpha + beta = 1 or s_k = 0 has no closed-form root: the ends run
+        # first, as in a search without pairs
+        params = replace(baseline_params, **changes)
+        y_start = output(params, start_4_1.K, start_4_1.E)
 
         def linear(params, p, *args, **kwargs):
-            return {"Y": np.array([y_start + root - p])}
+            return {"Y": np.array([y_start + 0.47 - p])}
 
-        x1, x2 = find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40,
-                              0.55, tol=1e-3).bracket
-        bound = bisection_runs(0.15, 1e-3)
-        with mock.patch.object(control, "simulate_controlled", linear):
-            # at T = 20 the seed's bound closes the gate: no pair runs
-            with counted_runs(bound) as unseeded:
-                fallback = find_tipping(baseline_params, start_4_1, 0.1, 20.0,
-                                        0.40, 0.55, tol=1e-3)
-            with counted_runs(bound + 2) as runs:
-                result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
-                                      0.40, 0.55, tol=1e-3)
-        assert unseeded[:2] == [0.40, 0.55]
-        assert runs == [x1, x2] + unseeded
-        assert result.bracket == fallback.bracket
+        with mock.patch.object(control, "simulate_controlled", linear), \
+                counted_runs(bisection_runs(0.15, 1e-3)) as runs:
+            result = find_tipping(params, start_4_1, 0.1, 200.0, 0.40, 0.55,
+                                  tol=1e-3)
+        assert runs[:2] == [0.40, 0.55]
         lo, hi = result.bracket
-        assert lo <= root <= hi and hi - lo <= 1e-3
+        assert lo <= 0.47 <= hi and hi - lo <= 1e-3
+
+    def test_saddle_pairs_hold_the_root(self, baseline_params):
+        # alpha + beta > 1: p_inf is a saddle's, and the pairs still run;
+        # at T = 20 the second pair holds the root, where the ends and ITP
+        # took 12 runs
+        params = replace(baseline_params, alpha=0.6, beta=0.45)
+        start = EconState(2.0, 1.0)
+        with counted_runs(4) as runs:
+            result = find_tipping(params, start, 0.1, 20.0, 0.05, 0.55,
+                                  tol=1e-3)
+        lo, hi = result.bracket
+        p_inf = tipping_root(params, output(params, start.K, start.E))
+        assert runs[0] == p_inf - 0.5e-3 and runs[2:] == [lo, hi]
+        assert 0.05 < lo < hi < 0.55 and hi - lo <= 1e-3
+        g_lo, g_hi = result.growth_at_bracket
+        assert g_lo > 0 > g_hi
 
     @pytest.mark.parametrize("tol", [0.55 - 0.40, 0.3])
     def test_no_seed_where_the_pair_cannot_fit(self, baseline_params,
                                                start_4_1, tol):
-        # the seed pair is tol wide, so a bracket no wider never holds it:
-        # the seed is computed, the gate stays closed, the ends run, and
+        # the pair is tol wide, so a bracket no wider never holds it: the
+        # closed-form root is computed, no pair runs, the ends run, and
         # their bracket and growths are the result
-        with mock.patch.object(control, "tipping_seed",
-                               wraps=control.tipping_seed) as seed, \
+        with mock.patch.object(control, "tipping_root",
+                               wraps=control.tipping_root) as seed, \
                 counted_runs(2) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=tol)
@@ -333,8 +363,8 @@ class TestFindTipping:
     def test_the_pair_runs_exactly_where_it_fits(self, ends, tol_steps,
                                                  root_steps):
         # a tol and a root p_inf within a few doubles of the bracket's width
-        # and midpoint, with the bound below tol / 2: the pair runs first
-        # wherever it lies inside the bracket, and the ends run otherwise
+        # and midpoint: the pair runs first wherever it lies inside the
+        # bracket, and the ends run otherwise
         p_low, p_high = ends
         tol, p_inf = p_high - p_low, 0.5 * (p_low + p_high)
         for _ in range(abs(tol_steps)):
@@ -352,8 +382,7 @@ class TestFindTipping:
         params = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                              alpha=0.2, beta=0.35)
         start = EconState(1.0, 1.0)  # Y(0) = 1
-        with mock.patch.object(control, "tipping_seed",
-                               return_value=(p_inf, 0.0)), \
+        with mock.patch.object(control, "tipping_root", return_value=p_inf), \
                 mock.patch.object(control, "simulate_controlled", linear), \
                 counted_runs(bisection_runs(p_high - p_low, tol)) as runs:
             find_tipping(params, start, 0.1, 200.0, p_low, p_high, tol=tol)
@@ -434,9 +463,12 @@ class TestFindTipping:
     @pytest.mark.parametrize("s_r0", [0.0, -2.5, math.nan, math.inf])
     def test_s_r0_is_checked_after_the_other_inputs_before_any_run(
             self, baseline_params, start_4_1, s_r0):
-        # the seed checks it first, at a tol narrower or wider than the bracket
+        # the first run's check_control refuses it before it integrates, at
+        # a tol narrower or wider than the bracket
         for tol in (1e-3, 0.3):
-            with counted_runs(0), pytest.raises(ValidationError) as info:
+            with mock.patch.object(control, "integrate",
+                                   side_effect=AssertionError("integrated")), \
+                    pytest.raises(ValidationError) as info:
                 find_tipping(baseline_params, start_4_1, s_r0, 200.0, 0.40,
                              0.55, tol)
             assert str(info.value) == \
@@ -464,8 +496,8 @@ class TestFindTipping:
             self, baseline_params, start_4_1, horizon, tol, p_low, p_high,
             error):
         raises = pytest.raises(error) if error else contextlib.nullcontext()
-        with mock.patch.object(control, "tipping_seed",
-                               wraps=control.tipping_seed) as seed, raises:
+        with mock.patch.object(control, "tipping_root",
+                               wraps=control.tipping_root) as seed, raises:
             find_tipping(baseline_params, start_4_1, 0.1, horizon, p_low,
                          p_high, tol)
         assert seed.call_count == (0 if error else 1)

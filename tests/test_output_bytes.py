@@ -7,6 +7,14 @@ report was built in one step, each `capedu tipping` stdout before the
 search probed its seed pair and its ends in one loop, and each `capedu
 chaos` stdout before the running average lost its wrapper; a faster or
 simpler writer, renderer, report, search or average must keep every byte.
+
+Two sets were re-pinned since, each for a change of its numbers.  The
+trajectory CSV digests follow the Y column computed per sample on Python
+floats, as the march computes it: numpy's array power differs from libm's
+pow in the last bit on some inputs where it dispatches to AVX-512 loops,
+so the old digests held only on such hosts.  The tipping stdout at T = 20,
+T = 50 and tol 1e-6 follows the search that runs secant pairs after the
+pair around the closed-form root, where it ran the ends and ITP before.
 """
 
 import hashlib
@@ -48,9 +56,9 @@ def seeded_series():
 
 @pytest.mark.parametrize("name,digest", [
     ("basic_baseline.json",
-     "639f2c93c51432231d1cb00f4642d7d6c3a39afb4f620d54b099d299e4d0c84e"),
+     "a73369daec8d6de8485d7e43353adf4c94b98cd32bafd8f86a30a3853721768f"),
     ("chaotic_plus.json",
-     "7da67ae663ec31691f4eb4b521aad916c52ece1f63c54cbf5229613f7baaedc4"),
+     "02318464ae1848273a2dc609b5d17d60a63b9bd7f37436cf69d327ae4407e168"),
 ])
 def test_trajectory_csv_bytes(name, digest):
     assert sha256(write_trajectory_csv(run_scenario(read_scenario(name)))) \
@@ -131,21 +139,21 @@ def test_cli_equilibrium_bytes(name, digest, capsys):
 
 
 TIPPING_STDOUT = [
-    # the seed pair p_inf -+ tol/2 brackets the root: 2 runs
+    # the pair p_inf -+ tol/2 brackets the root: 2 runs
     (["--tol", "1e-3"],
      "p_star=0.46615\nbracket=0.46565,0.46665\n"
      "growth_at_bracket=0.00269426,-0.00269988\nhorizon=200\n"),
-    # the seed's bound is above tol/2: the ends, then ITP
+    # the pair misses and a secant pair holds the root: 4 runs
     (["--tol", "1e-3", "--horizon", "20"],
-     "p_star=0.464566\nbracket=0.464354,0.464777\n"
-     "growth_at_bracket=0.000508165,-0.00135106\nhorizon=20\n"),
+     "p_star=0.464475\nbracket=0.463975,0.464975\n"
+     "growth_at_bracket=0.0021706,-0.00222164\nhorizon=20\n"),
+    # the pair: 2 runs
     (["--tol", "1e-3", "--horizon", "50"],
-     "p_star=0.466041\nbracket=0.465896,0.466185\n"
-     "growth_at_bracket=0.0005654,-0.00096592\nhorizon=50\n"),
-    # 8 runs
+     "p_star=0.46615\nbracket=0.46565,0.46665\n"
+     "growth_at_bracket=0.00186472,-0.00343288\nhorizon=50\n"),
     (["--tol", "1e-6"],
-     "p_star=0.46615\nbracket=0.46615,0.46615\n"
-     "growth_at_bracket=7.8016e-08,-2.14115e-07\nhorizon=200\n"),
+     "p_star=0.46615\nbracket=0.46615,0.466151\n"
+     "growth_at_bracket=2.68822e-06,-2.70591e-06\nhorizon=200\n"),
     # the pair does not fit: the ends and one ITP run
     (["--tol", "0.15"],
      "p_star=0.4375\nbracket=0.4,0.475\n"

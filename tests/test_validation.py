@@ -14,7 +14,7 @@ import pytest
 
 from capedu.analysis import controlled_equilibrium
 from capedu.cli import run
-from capedu.control import check_control, find_tipping, tipping_seed
+from capedu.control import check_control, find_tipping
 from capedu.errors import ValidationError
 from capedu.integrator import IntegratorSettings, integrate
 from capedu.model import EconState, ModelParams
@@ -55,12 +55,9 @@ LIBRARY = {
         PARAMS, START, 0.1, 200.0, 0.40, 0.55, tol=v)),
     "find_tipping.horizon": ("horizon", lambda v: find_tipping(
         PARAMS, START, 0.1, v, 0.40, 0.55)),
-    # the seed checks s_r0 before it takes its logarithm; find_tipping
-    # leaves the check to the seed
+    # find_tipping leaves the check to its first run's check_control
     "find_tipping.s_r0": ("s_r0", lambda v: find_tipping(
         PARAMS, START, v, 200.0, 0.40, 0.55)),
-    "tipping_seed.s_r0": ("s_r0", lambda v: tipping_seed(
-        PARAMS, START, v, 200.0)),
     "phase_portrait.horizon": ("horizon", lambda v: phase_portrait(
         PARAMS, (1, 2), (0.5, 1), (2, 2), horizon=v)),
     # the run length t1 - t0 is the horizon
