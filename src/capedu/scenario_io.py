@@ -213,7 +213,7 @@ class SweepSpec:
             raise ValidationError(
                 "parameter", f"{self.parameter} is not a field of the blocks "
                 f"of a {kind} scenario ({', '.join(blocks)})")
-        # an ndarray has no truth value; its elements stay as given
+        # a tuple, since an ndarray of two or more values has no truth value
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValidationError("values", "must be non-empty")

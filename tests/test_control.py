@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from capedu import cli, control
 from capedu.analysis import controlled_equilibrium, tipping_root
 from capedu.control import find_tipping, simulate_controlled
-from capedu.errors import NoSignChange, ValidationError
+from capedu.errors import NoSignChange, StructurallyUnstable, ValidationError
 from capedu.model import EconState, ModelParams, output
 
 from test_oracles import closed_form_tipping_root
@@ -308,6 +308,8 @@ class TestFindTipping:
         # first, as in a search without pairs
         params = replace(baseline_params, **changes)
         y_start = output(params, start_4_1.K, start_4_1.E)
+        with pytest.raises(StructurallyUnstable):
+            tipping_root(params, y_start)
 
         def linear(params, p, *args, **kwargs):
             return {"Y": np.array([y_start + 0.47 - p])}
