@@ -16,10 +16,8 @@ from .control import TippingResult, find_tipping, simulate_controlled
 from .errors import (
     CapEduError,
     DomainError,
-    EmptySeries,
     NonFiniteState,
     NoSignChange,
-    ParseError,
     StepLimitExceeded,
     StructurallyUnstable,
     ValidationError,

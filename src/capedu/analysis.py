@@ -161,12 +161,14 @@ def tipping_root(params: ModelParams, y_start: float) -> float:
     With u = ln(delta_k/s_k) and v = ln(delta_r/s_r*), equilibrium's Cramer's
     rule gives ln Y0 = (beta*u + alpha*v)/(alpha + beta - 1); solve it for v,
     then s_r* = 1 - s_k - p.  A y_start no target in (0, 1 - s_k) reaches
-    gives a p outside that interval.
+    gives a p outside that interval; a y_start of 0 (an output that
+    underflows) is one, taken as ln 0 = -inf.
     """
     _check_nondegenerate(params)
     a, b = params.alpha, params.beta
     u = math.log(params.delta_k / params.s_k)
-    v = ((a + b - 1.0) * math.log(y_start) - b * u) / a
+    ln_y = -math.inf if y_start == 0 else math.log(y_start)
+    v = ((a + b - 1.0) * ln_y - b * u) / a
     return 1.0 - params.s_k - params.delta_r * math.exp(min(-v, LN_MAX))
 
 

@@ -6,8 +6,8 @@ import math
 class CapEduError(Exception):
     """Base class for all errors raised by this package.
 
-    exit_code is the CLI's exit status for the error: 2 for bad input,
-    3 for a numeric or analytic failure.
+    exit_code is the CLI's exit status for the error: 2 for bad input
+    (ValidationError), 3 for a numeric or analytic failure.
     """
 
     exit_code = 3
@@ -33,25 +33,16 @@ class NoSignChange(CapEduError):
     """Bisection bracket does not straddle a sign change."""
 
 
-class ParseError(CapEduError):
-    """Scenario document is malformed or misses a required field."""
-
-    exit_code = 2
-
-
 class ValidationError(CapEduError, ValueError):
-    """A parameter violates its allowed range; names the field.  It is also
-    a ValueError, the type of Python's own bad-argument errors."""
+    """Bad input; names its field: a key path (params.alpha), a block, or
+    scenario, csv or a series label for a whole input.  It is also a
+    ValueError, the type of Python's own bad-argument errors."""
 
     exit_code = 2
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
-
-
-class EmptySeries(CapEduError):
-    """Nothing to plot."""
 
 
 def require_finite(field: str, value: float) -> None:

@@ -20,8 +20,8 @@ from . import chaos as chaos_mod
 from . import control as control_mod
 from . import model
 from .analysis import equilibrium
-from .errors import (CapEduError, EmptySeries, ParseError, StructurallyUnstable,
-                     ValidationError, require_finite, require_positive)
+from .errors import (CapEduError, StructurallyUnstable, ValidationError,
+                     require_finite, require_positive)
 from .integrator import (CHAOS_SETTINGS, IntegratorSettings, RawTrajectory,
                          _sample_grid, integrate)
 from .model import EconState, ModelParams
@@ -93,10 +93,11 @@ class Scenario:
             object.__setattr__(self, "integrator", SETTINGS[kind])
         for name in BLOCKS[kind]:
             if getattr(self, name) is None:
-                raise ParseError(f"{kind} scenario requires a {name} block")
+                raise ValidationError(name, f"block required for kind={kind}")
         for name in _KIND_BLOCKS:
             if getattr(self, name) is not None and name not in BLOCKS[kind]:
-                raise ParseError(f"{name} block not allowed for kind={kind}")
+                raise ValidationError(name,
+                                      f"block not allowed for kind={kind}")
         require_positive("horizon", self.horizon)
         require_positive("sample_step", self.sample_step)
         if self.control is not None:
@@ -113,14 +114,14 @@ class Scenario:
 
 def _number(obj, where: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ParseError(f"{where} must be a number, got {obj!r}")
+        raise ValidationError(where, f"must be a number, got {obj!r}")
     try:
         value = float(obj)
     except OverflowError:  # an integer literal too large for a double
         value = math.inf
     if not math.isfinite(value):
         # json accepts the non-standard Infinity and NaN literals
-        raise ParseError(f"{where} must be a finite number, got {obj!r}")
+        raise ValidationError(where, f"must be a finite number, got {obj!r}")
     return value
 
 
@@ -129,36 +130,36 @@ def _block(doc: dict, name: str, cls, default=None):
     key the object leaves out takes its value from default, when given."""
     raw = doc[name]
     if not isinstance(raw, dict):
-        raise ParseError(f"{name} must be an object")
+        raise ValidationError(name, "must be an object")
     keys = fields(cls)
     unknown = set(raw) - {f.name for f in keys}
     if unknown:
-        raise ParseError(f"unknown key(s) in {name}: {sorted(unknown)}")
+        raise ValidationError(name, f"unknown key(s) {sorted(unknown)}")
     values = {}
     for f in keys:
         if f.name in raw:
             values[f.name] = _number(raw[f.name], f"{name}.{f.name}")
         elif f.default is MISSING and default is None:
-            raise ParseError(f"missing required field {name}.{f.name}")
+            raise ValidationError(f"{name}.{f.name}", "missing required field")
     return cls(**values) if default is None else replace(default, **values)
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse a scenario document (JSON); Scenario checks its rules."""
-    try:
+    try:  # ValueError: also an integer literal of over 4300 digits
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # or one nested too deep
+        raise ValidationError("scenario", f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
+        raise ValidationError("scenario", "must be a JSON object")
 
     keys = fields(Scenario)  # the top-level keys are Scenario's fields
     unknown = set(doc) - {f.name for f in keys}
     if unknown:
-        raise ParseError(f"unknown top-level key(s): {sorted(unknown)}")
+        raise ValidationError("scenario", f"unknown key(s) {sorted(unknown)}")
     for f in keys:
         if f.default is MISSING and f.name not in doc:
-            raise ParseError(f"missing required field {f.name}")
+            raise ValidationError(f.name, "missing required field")
 
     kind = doc["kind"]  # Scenario refuses a kind that is not a str
     # a partial integrator block takes its missing keys from its kind's row
@@ -271,9 +272,9 @@ def write_trajectory_csv(traj: Trajectory) -> str:
 def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Header and float table of a trajectory CSV; an empty cell reads as NaN.
 
-    A data row with more or fewer cells than the header raises
-    ValidationError naming the row, and a cell that is not a number raises
-    it naming the column and the row.  One np.loadtxt pass parses a table;
+    A text with no data rows raises ValidationError naming csv, a data row
+    with more or fewer cells than the header raises it naming the row, and
+    a cell that is not a number raises it naming the column and the row.  One np.loadtxt pass parses a table;
     the per-row loop, with float() per cell, runs only on one it refuses.
     Rows end at "\n" alone, and a "\r" before it is dropped; an empty row
     is skipped.
@@ -281,7 +282,7 @@ def read_trajectory_csv(text: str) -> tuple[tuple[str, ...], np.ndarray]:
     lines = [ln.removesuffix("\r") for ln in text.split("\n")]
     lines = [ln for ln in lines if ln]
     if len(lines) < 2:
-        raise EmptySeries("CSV has no data rows")
+        raise ValidationError("csv", "no data rows")
     header, rows = tuple(lines[0].split(",")), lines[1:]
     with contextlib.suppress(ValueError):
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
@@ -386,12 +387,12 @@ def render_svg(series, title: str = "") -> str:
     Each point is written as "{:.2f},{:.2f}".format writes it: the exact
     binary value rounded to hundredths, a tie to the even neighbour.  A
     polyline of 128 points or more is formatted in numpy to the same text;
-    a shorter one is formatted point by point.  A series with a value that
-    is not finite, or whose values widen the plotted range past the largest
-    double, raises ValidationError naming it.
+    a shorter one is formatted point by point.  A series that is empty or
+    ragged, has a value that is not finite, or widens the plotted range past
+    the largest double raises ValidationError naming it (series: no series).
     """
     if not series:
-        raise EmptySeries("no series to plot")
+        raise ValidationError("series", "none to plot")
     cleaned = []
     x_lo = y_lo = math.inf
     x_hi = y_hi = -math.inf
@@ -399,7 +400,7 @@ def render_svg(series, title: str = "") -> str:
         t = np.asarray(times, dtype=float)
         v = np.asarray(values, dtype=float)
         if t.size == 0 or t.size != v.size:
-            raise EmptySeries(f"series {label!r} is empty or ragged")
+            raise ValidationError(str(label), "empty or ragged")
         ends = float(t.min()), float(t.max()), float(v.min()), float(v.max())
         x_lo, x_hi = min(x_lo, ends[0]), max(x_hi, ends[1])
         y_lo, y_hi = min(y_lo, ends[2]), max(y_hi, ends[3])

@@ -13,10 +13,8 @@ from capedu.cli import run
 from capedu.errors import (
     CapEduError,
     DomainError,
-    EmptySeries,
     NonFiniteState,
     NoSignChange,
-    ParseError,
     StepLimitExceeded,
     StructurallyUnstable,
     ValidationError,
@@ -243,18 +241,17 @@ def test_plot_non_numeric_cell_is_exit_2(rows, message, tmp_path, capsys):
     assert f"error: {message}\n" in capsys.readouterr().err
 
 
-def test_plot_header_only_csv_is_exit_3(tmp_path, capsys):
+def test_plot_header_only_csv_is_exit_2(tmp_path, capsys):
     csv = tmp_path / "run.csv"
     csv.write_text("t,Y\n")
-    assert run(["plot", "--csv", str(csv)]) == 3
-    assert "no data rows" in capsys.readouterr().err
+    assert run(["plot", "--csv", str(csv)]) == 2
+    assert capsys.readouterr() == ("", "error: csv: no data rows\n")
 
 
 # the exit status each error class gives on the command line
 EXIT_CODES = {
     CapEduError: 3, DomainError: 3, StepLimitExceeded: 3, NonFiniteState: 3,
-    StructurallyUnstable: 3, NoSignChange: 3, EmptySeries: 3,
-    ParseError: 2, ValidationError: 2,
+    StructurallyUnstable: 3, NoSignChange: 3, ValidationError: 2,
 }
 
 
@@ -639,14 +636,49 @@ def test_simulate_warns_when_s_r_leaves_its_interval(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda doc: [1], "scenario document must be a JSON object"),
-    (lambda doc: {**doc, "params": 5}, "params must be an object"),
+    (lambda doc: [1], "scenario: must be a JSON object"),
+    (lambda doc: {**doc, "params": 5}, "params: must be an object"),
     (lambda doc: {**doc, "params": {k: v for k, v in doc["params"].items()
                                     if k != "alpha"}},
-     "missing required field params.alpha"),
+     "params.alpha: missing required field"),
 ], ids=["list", "params-number", "params-without-alpha"])
 def test_malformed_document_is_exit_2(edit, message, basic_scenario, capsys):
     doc = edit(json.loads(basic_scenario.read_text()))
     basic_scenario.write_text(json.dumps(doc))
     assert run(["simulate", "--scenario", str(basic_scenario)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[" * 100_000 + "]" * 100_000,
+     "maximum recursion depth exceeded while decoding a JSON array"),
+    ('{"horizon": ' + "1" * 5000 + "}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["nested-100000-deep", "integer-of-5000-digits"])
+def test_document_json_cannot_read_is_exit_2(text, message, tmp_path, capsys):
+    # json raises RecursionError and a plain ValueError for these, where
+    # JSONDecodeError is what it raises for malformed text
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(["simulate", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: scenario: not valid JSON: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_tipping_from_an_output_that_underflows_is_not_a_usage_error(
+        tmp_path, capsys):
+    # Y(0) = (1e-300)^0.6 (1e-300)^0.6 rounds to 0; taken as ln 0 = -inf,
+    # not math.log's "math domain error" (exit 1), it puts the closed-form
+    # root outside the bracket, so the ends run
+    doc = json.loads((SCENARIO_DIR / "controlled_p047.json").read_text())
+    doc["params"].update(alpha=0.6, beta=0.6)
+    doc.update(initial={"K": 1e-300, "E": 1e-300}, horizon=1)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code = run(["tipping", "--scenario", str(path), "--p-min", "0.40",
+                "--p-max", "0.55"])
+    out, err = capsys.readouterr()
+    assert code in (0, 3), err
+    assert "domain error" not in err

@@ -322,6 +322,26 @@ class TestFindTipping:
         lo, hi = result.bracket
         assert lo <= 0.47 <= hi and hi - lo <= 1e-3
 
+    @pytest.mark.parametrize("changes,p_inf", [
+        ({}, 0.6), (dict(alpha=0.6, beta=0.6), -4.494232837155683e+307)],
+        ids=["alpha + beta < 1", "alpha + beta > 1"])
+    def test_root_of_a_zero_output_lies_outside_the_targets(
+            self, baseline_params, changes, p_inf):
+        # ln 0 = -inf, where math.log(0) raises, puts it at 1 - s_k or far
+        # below 0
+        params = replace(baseline_params, **changes)
+        assert math.isclose(tipping_root(params, 0.0), p_inf, rel_tol=1e-12)
+
+    def test_no_pair_from_an_output_that_underflows(self, baseline_params):
+        params = replace(baseline_params, alpha=0.6, beta=0.6)
+        start = EconState(1e-300, 1e-300)
+        assert output(params, start.K, start.E) == 0
+        # no pair fits, so the ends run; at T = 1 both grow exactly 0
+        with counted_runs(2) as runs:
+            result = find_tipping(params, start, 0.1, 1.0, 0.40, 0.55)
+        assert runs == [0.40, 0.55]
+        assert result.p_star == 0.40 and result.growth_at_bracket == (0, 0)
+
     def test_saddle_pairs_hold_the_root(self, baseline_params):
         # alpha + beta > 1: p_inf is a saddle's, and the pairs still run;
         # at T = 20 the second pair holds the root, where the ends and ITP

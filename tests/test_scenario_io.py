@@ -7,16 +7,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capedu import scenario_io
-from capedu.errors import CapEduError, EmptySeries, ParseError, ValidationError
+from capedu.errors import ValidationError
 from capedu.integrator import CHAOS_SETTINGS, IntegratorSettings, RawTrajectory
 from capedu.model import ModelParams
 from capedu.scenario_io import (
     _FIXED2_MIN_POINTS,
     _KIND_BLOCKS,
+    _OWNER,
     _SHARED_BLOCKS,
     BLOCKS,
     ChaosSpec,
@@ -92,6 +93,32 @@ def scenario_docs(draw):
         doc["chaos"] = {"c": draw(number(-1.0, 1.0))}
         for key in ("x0", "y0", "z0", "b"):
             maybe(draw, doc["chaos"], key, number(-2.0, 2.0))
+    return doc
+
+
+# the keys of a scenario document and of its blocks, and JSON values built
+# on them, so that a drawn document gets past the unknown-key checks
+DOC_KEYS = sorted({f.name for f in fields(Scenario)} | set(_OWNER))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(sorted(BLOCKS)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(DOC_KEYS) | st.text(max_size=3), inner, max_size=6),
+    max_leaves=20)
+
+
+@st.composite
+def edited_docs(draw):
+    """A valid document with one key of it or of one of its blocks set to
+    any JSON value, or left out."""
+    doc = draw(scenario_docs())
+    block = draw(st.sampled_from(
+        [doc] + [b for b in doc.values() if isinstance(b, dict)]))
+    key = draw(st.sampled_from(DOC_KEYS))
+    if draw(st.booleans()):
+        block[key] = draw(json_values)
+    else:
+        block.pop(key, None)
     return doc
 
 
@@ -249,8 +276,10 @@ class TestLoadScenario:
     def test_missing_horizon(self):
         doc = minimal_doc()
         del doc["horizon"]
-        with pytest.raises(ParseError, match="horizon"):
+        with pytest.raises(ValidationError,
+                           match="^horizon: missing required field$") as info:
             load_scenario(json.dumps(doc))
+        assert info.value.field == "horizon"
 
     def test_overcommitted_investment(self):
         doc = minimal_doc()
@@ -260,21 +289,30 @@ class TestLoadScenario:
             load_scenario(json.dumps(doc))
 
     def test_not_json(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError,
+                           match="^scenario: not valid JSON: ") as info:
             load_scenario("kind: basic")
+        assert info.value.field == "scenario"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ParseError, match="unknown"):
+        with pytest.raises(ValidationError,
+                           match=r"^scenario: unknown key\(s\) \['extra'\]$") \
+                as info:
             load_scenario(json.dumps(minimal_doc(extra=1)))
+        assert info.value.field == "scenario"
 
     def test_kind_block_pairing(self):
-        with pytest.raises(ParseError, match="control"):
-            load_scenario(json.dumps(minimal_doc(kind="controlled")))
-        with pytest.raises(ParseError, match="chaos"):
-            load_scenario(json.dumps(minimal_doc(kind="chaotic")))
-        with pytest.raises(ParseError):
-            load_scenario(json.dumps(
-                minimal_doc(control={"p": 0.4, "s_r0": 0.1})))
+        for doc, field, message in (
+                (minimal_doc(kind="controlled"), "control",
+                 "block required for kind=controlled"),
+                (minimal_doc(kind="chaotic"), "chaos",
+                 "block required for kind=chaotic"),
+                (minimal_doc(control={"p": 0.4, "s_r0": 0.1}), "control",
+                 "block not allowed for kind=basic")):
+            with pytest.raises(ValidationError) as info:
+                load_scenario(json.dumps(doc))
+            assert info.value.field == field
+            assert str(info.value) == f"{field}: {message}"
 
     def test_bad_kind(self):
         with pytest.raises(ValidationError):
@@ -283,8 +321,10 @@ class TestLoadScenario:
     def test_non_numeric_field(self):
         doc = minimal_doc()
         doc["initial"]["K"] = "four"
-        with pytest.raises(ParseError, match="initial.K"):
+        with pytest.raises(ValidationError) as info:
             load_scenario(json.dumps(doc))
+        assert str(info.value) == "initial.K: must be a number, got 'four'"
+        assert info.value.field == "initial.K"
 
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN",
                                          "1" + "0" * 400])
@@ -292,8 +332,10 @@ class TestLoadScenario:
         # json accepts these; none of them is a usable scenario number
         text = json.dumps(minimal_doc(horizon=0)).replace(
             '"horizon": 0', f'"horizon": {literal}')
-        with pytest.raises(ParseError, match="horizon must be a finite"):
+        with pytest.raises(ValidationError,
+                           match="^horizon: must be a finite") as info:
             load_scenario(text)
+        assert info.value.field == "horizon"
 
     def test_superlinear_accepted_with_warning(self):
         doc = minimal_doc()
@@ -383,16 +425,28 @@ class TestLoadScenario:
         name = data.draw(st.sampled_from(
             [n for n, b in doc.items() if isinstance(b, dict)]))
         doc[name]["unknown_key"] = 1.0
-        with pytest.raises(ParseError, match=f"unknown key.*in {name}"):
+        with pytest.raises(ValidationError, match=f"^{name}: unknown key") \
+                as info:
             load_scenario(json.dumps(doc))
+        assert info.value.field == name
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(st.text(), json_values.map(json.dumps),
+                          edited_docs().map(json.dumps)))
+    @example(text="[" * 100_000 + "]" * 100_000)  # RecursionError in json
+    @example(text='{"horizon": ' + "1" * 5000 + "}")  # ValueError in json
+    def test_any_text_raises_only_validation_error(self, text):
+        try:
+            load_scenario(text)
+        except ValidationError:
+            pass
 
 
 def fault(build):
-    """The class of the error build() raises, and the field it names (the
-    message for an error that names no field)."""
-    with pytest.raises(CapEduError) as info:
+    """The field named by the ValidationError build() raises."""
+    with pytest.raises(ValidationError) as info:
         build()
-    return type(info.value), getattr(info.value, "field", str(info.value))
+    return info.value.field
 
 
 class TestCodeBuiltScenario:
@@ -836,6 +890,15 @@ class TestCsvReader:
             assert info.value.field == field
             assert str(info.value) == f"{field}: {message}"
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text() | st.text("0123456789.,-+eEnaifNI_# \t\r\n\x1f"))
+    @pytest.mark.parametrize("read", [read_trajectory_csv, per_row])
+    def test_any_text_raises_only_validation_error(self, read, text):
+        try:
+            read(text)
+        except ValidationError:
+            pass
+
     @pytest.mark.parametrize("read", [read_trajectory_csv, per_row])
     def test_crlf_rows_read_as_lf_rows(self, read):
         header, table = read("t,a\r\n0,1\r\n\r\n1,2.5\r")
@@ -880,10 +943,12 @@ class TestRenderSvg:
         assert "K & E <1>" in texts and "K<E & Y" in texts
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptySeries):
+        with pytest.raises(ValidationError) as info:
             render_svg([])
-        with pytest.raises(EmptySeries):
+        assert info.value.field == "series"
+        with pytest.raises(ValidationError) as info:
             render_svg([("x", np.array([]), np.array([]))])
+        assert info.value.field == "x"
 
     @pytest.mark.parametrize("series", [
         [("a", [0.0, 1.0], [1.0, math.nan])],
