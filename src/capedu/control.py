@@ -15,7 +15,7 @@ from .model import EconState, ModelParams, output
 from .trajectory import Trajectory, build_trajectory
 
 __all__ = ["TippingResult", "check_control", "simulate_controlled",
-           "find_tipping"]
+           "horizon_output", "find_tipping"]
 
 PAIRS = 4  # pairs tol wide, around p_inf and then secant roots, per search
 
@@ -50,6 +50,20 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
     return build_trajectory(params, raw, model.CONTROLLED.states)
 
 
+def horizon_output(params: ModelParams, p: float, econ0: EconState,
+                   s_r0: float, horizon: float,
+                   settings: IntegratorSettings | None = None) -> float:
+    """Y(horizon) of simulate_controlled's run, integrated to the end only
+    as (K, E, Q) of model.CONTROLLED_Q: about 1e-10 relative from the
+    (K, E, s_r) run's Y, in fewer steps."""
+    check_control(params, p, s_r0)
+    s_rs = 1.0 - params.s_k - p
+    field = model.CONTROLLED_Q.bind(params, s_rs=s_rs, u0=s_r0 - s_rs)
+    raw = integrate(field, [econ0.K, econ0.E, 0.0], 0.0, horizon, settings,
+                    sample_step=horizon)
+    return output(params, *raw.states[-1, :2].tolist())  # floats: libm pow
+
+
 def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
                  horizon: float, p_low: float, p_high: float,
                  tol: float = 1e-3,
@@ -57,9 +71,10 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     """Find the target p where output at the horizon returns to Y(0).
 
     dY(p) = Y(horizon; p) - Y(0) must change sign over the bracket, else
-    NoSignChange.  horizon, then tol (a NaN tol would end the search) must be
-    finite and positive, then both ends must pass check_target; the first
-    run checks s_r0 (check_control).
+    NoSignChange, which an output Y(0) that underflows to 0 raises before
+    any run (Y stays 0, and so dY, at every p).  horizon, then tol (a NaN
+    tol would end the search) must be finite and positive, then both ends
+    must pass check_target; the first run checks s_r0 (check_control).
 
     The search runs pairs x -+ tol/2 inside the bracket: first around
     p_inf, the closed-form root of an infinite horizon
@@ -73,7 +88,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     after the pairs at most bisection's 2 + ceil(log2(W / tol)) for a
     bracket W wide, fewer on a smooth dY.  At tol 1e-3 criterion 6 takes 2
     runs at T = 50, 100 and 200, and 4 at T = 20.  p_star is the midpoint,
-    or an end whose growth is exactly 0.
+    or an end whose growth is exactly 0.  Each run is one horizon_output.
     """
     require_positive("horizon", horizon)
     require_positive("tol", tol)
@@ -82,12 +97,12 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     if not p_high > p_low:
         raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
     y_start = output(params, econ0.K, econ0.E)
+    if y_start == 0.0:
+        raise NoSignChange("Y(0) underflows to 0: growth is 0 at every p")
 
     def growth(p: float) -> float:
-        # only the endpoint matters; one output interval per evaluation
-        traj = simulate_controlled(params, p, econ0, s_r0, horizon,
-                                   settings, sample_step=horizon)
-        return float(traj["Y"][-1]) - y_start
+        return horizon_output(params, p, econ0, s_r0, horizon,
+                              settings) - y_start
 
     def probes():
         # each candidate bracket with its growths: the pairs, then the ends

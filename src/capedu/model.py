@@ -7,7 +7,8 @@ Y = E^alpha * K^beta feeding proportional investments):
 * chaotic      -- 5-D (K, E, x, y, z): the capital investment fraction is
                   modulated by a chaotic driver, s_k + c*x(t)
 * controlled   -- 3-D (K, E, s_r): education investment adjusts so that
-                  consumption tracks a target fraction p of output
+                  consumption tracks a target fraction p of output; the
+                  same run as (K, E, Q) with s_r solved exactly in Q' = Y
 
 Each system, and the chaotic driver ne9, is declared once as a System:
 its state names and one expression per derivative, as source text.  The
@@ -103,7 +104,8 @@ def _require_positive(K, E):
 _OUTPUT = "E ** alpha * K ** beta"
 
 # the names a System's lines may use
-_NAMES = {"_require_positive": _require_positive, "_INF": _INF}
+_NAMES = {"_require_positive": _require_positive, "_INF": _INF,
+          "exp": math.exp}
 
 
 def _compiled(name: str, lines: list[str]) -> dict:
@@ -195,6 +197,15 @@ CONTROLLED = System(
     constants=tuple(n for n in BASIC.constants if n != "s_r") + ("p",),
     lines=BASIC.lines,
     derivatives=BASIC.derivatives + ("(1.0 - s_k - s_r - p) * Y",))
+
+# s_r' = (s_rs - s_r) Y with s_rs = 1 - s_k - p is linear in s_r: with Q' = Y,
+# s_r = s_rs + u0 exp(-Q) solves it exactly, u0 = s_r(0) - s_rs (an
+# integrating factor, Lawson 1967), so no state carries the fast -Y mode
+CONTROLLED_Q = System(
+    "controlled_q", states=BASIC.states + ("Q",),
+    constants=tuple(n for n in BASIC.constants if n != "s_r") + ("s_rs", "u0"),
+    lines=BASIC.lines + ("s_r = s_rs + u0 * exp(-Q)",),
+    derivatives=BASIC.derivatives + ("Y",))
 
 
 def basic_rhs(params: ModelParams):

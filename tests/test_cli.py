@@ -669,9 +669,9 @@ def test_document_json_cannot_read_is_exit_2(text, message, tmp_path, capsys):
 
 def test_tipping_from_an_output_that_underflows_is_not_a_usage_error(
         tmp_path, capsys):
-    # Y(0) = (1e-300)^0.6 (1e-300)^0.6 rounds to 0; taken as ln 0 = -inf,
-    # not math.log's "math domain error" (exit 1), it puts the closed-form
-    # root outside the bracket, so the ends run
+    # Y(0) = (1e-300)^0.6 (1e-300)^0.6 rounds to 0; not math.log's "math
+    # domain error" (exit 1), nor a root at p_low (exit 0): Y stays 0 at
+    # every p, so the search raises NoSignChange before any run
     doc = json.loads((SCENARIO_DIR / "controlled_p047.json").read_text())
     doc["params"].update(alpha=0.6, beta=0.6)
     doc.update(initial={"K": 1e-300, "E": 1e-300}, horizon=1)
@@ -680,5 +680,5 @@ def test_tipping_from_an_output_that_underflows_is_not_a_usage_error(
     code = run(["tipping", "--scenario", str(path), "--p-min", "0.40",
                 "--p-max", "0.55"])
     out, err = capsys.readouterr()
-    assert code in (0, 3), err
-    assert "domain error" not in err
+    assert code == 3, err
+    assert "domain error" not in err and "underflows to 0" in err

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from capedu import cli, control
 from capedu.analysis import controlled_equilibrium, tipping_root
-from capedu.control import find_tipping, simulate_controlled
-from capedu.errors import NoSignChange, StructurallyUnstable, ValidationError
+from capedu.control import find_tipping, horizon_output, simulate_controlled
+from capedu.errors import (
+    CapEduError, NoSignChange, StructurallyUnstable, ValidationError,
+)
 from capedu.model import EconState, ModelParams, output
 
 from test_oracles import closed_form_tipping_root
@@ -23,17 +26,18 @@ CONTROLLED = str(Path(__file__).resolve().parent.parent / "scenarios"
 
 @contextlib.contextmanager
 def counted_runs(limit: int):
-    """Count the controlled runs made through the module attribute, as the
-    benchmark's tracer does; the run after limit fails instead of hanging."""
+    """Count the controlled runs made through the module attribute
+    horizon_output, one per growth the search takes; the run after limit
+    fails instead of hanging."""
     runs = []
-    real = control.simulate_controlled
+    real = control.horizon_output
 
     def counting(*args, **kwargs):
         runs.append(args[1])
         assert len(runs) <= limit, f"more than {limit} runs"
         return real(*args, **kwargs)
 
-    with mock.patch.object(control, "simulate_controlled", counting):
+    with mock.patch.object(control, "horizon_output", counting):
         yield runs
 
 
@@ -130,6 +134,36 @@ class TestFindTipping:
         assert len(runs) == 2
         assert result.bracket[1] - result.bracket[0] <= 1e-3
 
+    def test_crit_6_pair_steps(self, baseline_params, start_4_1):
+        # each run integrates (K, E, Q), which has no fast -Y mode: 59 steps
+        # each, where the (K, E, s_r) runs to the horizon take 84 and 147
+        steps, real = [], control.integrate
+
+        def recording(*args, **kwargs):
+            raw = real(*args, **kwargs)
+            steps.append(raw.stats.steps)
+            return raw
+
+        with mock.patch.object(control, "integrate", recording), \
+                counted_runs(2) as runs:
+            find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40, 0.55,
+                         tol=1e-3)
+        assert steps == [59, 59]
+        assert [simulate_controlled(baseline_params, p, start_4_1, 0.1, 200.0,
+                                    sample_step=200.0).stats.steps
+                for p in runs] == [84, 147]
+
+    def test_saddle_far_from_p_inf_fails_fast(self, baseline_params,
+                                              start_4_1):
+        # alpha + beta > 1: a run far from p_inf grows without bound until
+        # its state leaves the doubles; in (K, E, s_r) the fast -Y mode
+        # shrank h until the step budget ran out, about a minute later
+        params = replace(baseline_params, alpha=0.6, beta=0.6)
+        wall = time.perf_counter()
+        with pytest.raises(CapEduError):
+            find_tipping(params, start_4_1, 0.1, 200.0, 0.05, 0.55)
+        assert time.perf_counter() - wall < 5.0
+
     def test_seed_pair_is_the_bracket(self, baseline_params, start_4_1):
         p_inf = tipping_root(baseline_params,
                              output(baseline_params, start_4_1.K, start_4_1.E))
@@ -160,8 +194,8 @@ class TestFindTipping:
     # pair make 4 at T = 20, and the pair alone 2 at T = 50 and at tol 1e-6
     @pytest.mark.parametrize("horizon,tol,runs,bracket", [
         (20.0, 1e-3, [0.46565043307000026, 0.4666504330700002,
-                      0.463975245345051, 0.46497524534505097],
-         (0.463975245345051, 0.46497524534505097)),
+                      0.4639752453322833, 0.46497524533228324],
+         (0.4639752453322833, 0.46497524533228324)),
         (50.0, 1e-3, [0.46565043307000026, 0.4666504330700002],
          (0.46565043307000026, 0.4666504330700002)),
         (200.0, 1e-6, [0.46614993307000024, 0.4661509330700002],
@@ -192,9 +226,7 @@ class TestFindTipping:
         y_start = output(params, start.K, start.E)
 
         def growth(p):
-            traj = simulate_controlled(params, p, start, 0.1, horizon,
-                                       sample_step=horizon)
-            return float(traj["Y"][-1]) - y_start
+            return horizon_output(params, p, start, 0.1, horizon) - y_start
 
         assert growth(p_low) * growth(p_high) < 0
         root = optimize.brentq(growth, p_low, p_high, xtol=1e-15)
@@ -214,9 +246,7 @@ class TestFindTipping:
         y_start = output(params, start.K, start.E)
 
         def growth(p):
-            traj = simulate_controlled(params, p, start, 0.1, horizon,
-                                       sample_step=horizon)
-            return float(traj["Y"][-1]) - y_start
+            return horizon_output(params, p, start, 0.1, horizon) - y_start
 
         assume(growth(p_low) * growth(p_high) < 0)
         with counted_runs(bisection_runs(p_high - p_low, tol)):
@@ -232,12 +262,12 @@ class TestFindTipping:
         y_start = output(baseline_params, start_4_1.K, start_4_1.E)
 
         def flat_at_low_end(params, p, *args, **kwargs):
-            return {"Y": np.array([y_start if p == 0.40 else 0.5 * y_start])}
+            return y_start if p == 0.40 else 0.5 * y_start
 
         # the pair's equal growths have no secant root, so the ends run next
         x1, x2 = find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40,
                               0.55, tol=1e-3).bracket
-        with mock.patch.object(control, "simulate_controlled",
+        with mock.patch.object(control, "horizon_output",
                                flat_at_low_end), counted_runs(4) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
@@ -253,12 +283,11 @@ class TestFindTipping:
         mid = 0.5 * (0.40 + 0.55)
 
         def flat_at_mid(params, p, *args, **kwargs):
-            return {"Y": np.array([y_start if p == mid else
-                                   y_start + mid - p])}
+            return y_start if p == mid else y_start + mid - p
 
         with mock.patch.object(control, "tipping_root",
                                return_value=math.nan), \
-                mock.patch.object(control, "simulate_controlled",
+                mock.patch.object(control, "horizon_output",
                                   flat_at_mid), counted_runs(3) as runs:
             result = find_tipping(baseline_params, start_4_1, 0.1, 200.0,
                                   0.40, 0.55, tol=1e-3)
@@ -278,9 +307,9 @@ class TestFindTipping:
         for shape, pairs in ((lambda d: math.copysign(1.0, d), 1),
                              (lambda d: d ** 3, control.PAIRS)):
             def growth(params, p, *args, **kwargs):
-                return {"Y": np.array([y_start + shape(root - p)])}
+                return y_start + shape(root - p)
 
-            with mock.patch.object(control, "simulate_controlled", growth):
+            with mock.patch.object(control, "horizon_output", growth):
                 with mock.patch.object(control, "tipping_root",
                                        return_value=math.nan), \
                         counted_runs(bound) as unseeded:
@@ -312,9 +341,9 @@ class TestFindTipping:
             tipping_root(params, y_start)
 
         def linear(params, p, *args, **kwargs):
-            return {"Y": np.array([y_start + 0.47 - p])}
+            return y_start + 0.47 - p
 
-        with mock.patch.object(control, "simulate_controlled", linear), \
+        with mock.patch.object(control, "horizon_output", linear), \
                 counted_runs(bisection_runs(0.15, 1e-3)) as runs:
             result = find_tipping(params, start_4_1, 0.1, 200.0, 0.40, 0.55,
                                   tol=1e-3)
@@ -333,14 +362,14 @@ class TestFindTipping:
         assert math.isclose(tipping_root(params, 0.0), p_inf, rel_tol=1e-12)
 
     def test_no_pair_from_an_output_that_underflows(self, baseline_params):
+        # Y stays exactly 0 at every p, so every growth is 0 and no p is a
+        # tipping point; the ends would return p_low as a root
         params = replace(baseline_params, alpha=0.6, beta=0.6)
         start = EconState(1e-300, 1e-300)
         assert output(params, start.K, start.E) == 0
-        # no pair fits, so the ends run; at T = 1 both grow exactly 0
-        with counted_runs(2) as runs:
-            result = find_tipping(params, start, 0.1, 1.0, 0.40, 0.55)
-        assert runs == [0.40, 0.55]
-        assert result.p_star == 0.40 and result.growth_at_bracket == (0, 0)
+        with counted_runs(0), pytest.raises(NoSignChange) as info:
+            find_tipping(params, start, 0.1, 1.0, 0.40, 0.55)
+        assert "underflows to 0" in str(info.value)
 
     def test_saddle_pairs_hold_the_root(self, baseline_params):
         # alpha + beta > 1: p_inf is a saddle's, and the pairs still run;
@@ -372,8 +401,8 @@ class TestFindTipping:
         seed.assert_called_once()
         assert runs == [0.40, 0.55]
         assert result.bracket == (0.40, 0.55)
-        assert result.growth_at_bracket == (0.31744448030069217,
-                                            -0.575794039880205)
+        assert result.growth_at_bracket == (0.3174444808755956,
+                                            -0.5757940400142931)
 
     @settings(max_examples=300, deadline=None)
     @given(ends=st.lists(st.floats(0.01, 0.59), min_size=2, max_size=2,
@@ -399,13 +428,13 @@ class TestFindTipping:
             x2 = math.nextafter(x2, x1)
 
         def linear(params, p, *args, **kwargs):
-            return {"Y": np.array([1.0 + p_inf - p])}
+            return 1.0 + p_inf - p
 
         params = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
                              alpha=0.2, beta=0.35)
         start = EconState(1.0, 1.0)  # Y(0) = 1
         with mock.patch.object(control, "tipping_root", return_value=p_inf), \
-                mock.patch.object(control, "simulate_controlled", linear), \
+                mock.patch.object(control, "horizon_output", linear), \
                 counted_runs(bisection_runs(p_high - p_low, tol)) as runs:
             find_tipping(params, start, 0.1, 200.0, p_low, p_high, tol=tol)
         fits = p_low < x1 < x2 < p_high

@@ -19,7 +19,7 @@ from capedu.integrator import (
     _step_for, _step_source, integrate,
 )
 from capedu.model import (
-    ModelParams, basic_rhs, control_rhs, modulated_rhs, ne9_rhs,
+    CONTROLLED_Q, ModelParams, basic_rhs, control_rhs, modulated_rhs, ne9_rhs,
 )
 
 BASELINE = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
@@ -825,6 +825,10 @@ def rhs_calls(loop, field, *args):
 ENDPOINT_RUNS = {
     "basic": (basic_rhs(BASELINE), [4.0, 1.0], 415),
     "controlled": (control_rhs(BASELINE, 0.47), [4.0, 1.0, 0.1], 499),
+    # the same run with s_r solved exactly in Q: no fast -Y mode, 59 steps
+    "controlled_q": (CONTROLLED_Q.bind(BASELINE, s_rs=1.0 - 0.4 - 0.47,
+                                       u0=0.1 - (1.0 - 0.4 - 0.47)),
+                     [4.0, 1.0, 0.0], 355),
 }
 
 

@@ -18,10 +18,11 @@ from capedu.analysis import (
     controlled_equilibrium, eigen_basic, equilibrium, jacobian_basic,
     tipping_root,
 )
-from capedu.control import find_tipping, simulate_controlled
+from capedu.control import find_tipping, horizon_output, simulate_controlled
 from capedu.integrator import DEFAULT_SETTINGS, integrate
 from capedu.model import (
-    BASIC, CONTROLLED, MODULATED, EconState, ModelParams, basic_rhs, output,
+    BASIC, CONTROLLED, CONTROLLED_Q, MODULATED, EconState, ModelParams,
+    basic_rhs, control_rhs, output,
 )
 from capedu.scenario_io import load_scenario, run_scenario
 
@@ -259,12 +260,10 @@ def test_controlled_runs_stay_positive(params, s_r_star, K, E, v):
     assert np.all(traj["K"] > 0) and np.all(traj["E"] > 0)
 
 
-def parsed_system(system, sympy):
-    """The system's derivatives and their Jacobian in its states, parsed from
-    its declared text, as functions of (states..., constants...)."""
+def symbolic_system(system, sympy):
+    """The system's derivatives as a sympy Matrix parsed from its declared
+    text, with the names it binds: states, constants and each line's."""
     names = {n: sympy.Symbol(n) for n in system.states + system.constants}
-    states = [names[n] for n in system.states]
-    args = states + [names[n] for n in system.constants]
     for line in system.lines:
         name, assigns, expr = line.partition(" = ")
         if assigns:
@@ -272,8 +271,16 @@ def parsed_system(system, sympy):
         else:  # the domain guard assigns nothing
             assert line.startswith("if not (") and line.endswith(
                 "): _require_positive(K, E)")
-    field = sympy.Matrix([sympy.parse_expr(d, local_dict=names)
-                          for d in system.derivatives])
+    return sympy.Matrix([sympy.parse_expr(d, local_dict=names)
+                         for d in system.derivatives]), names
+
+
+def parsed_system(system, sympy):
+    """The system's derivatives and their Jacobian in its states, parsed from
+    its declared text, as functions of (states..., constants...)."""
+    field, names = symbolic_system(system, sympy)
+    states = [names[n] for n in system.states]
+    args = states + [names[n] for n in system.constants]
     return (sympy.lambdify(args, field, "numpy"),
             sympy.lambdify(args, field.jacobian(states), "numpy"))
 
@@ -323,3 +330,60 @@ def test_declared_basic_and_modulated_systems_match_the_closed_forms(
         np.testing.assert_allclose(
             np.asarray(jacobian(*args), dtype=float)[:2, :2], expected,
             rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_declared_q_system_solves_the_s_r_equation():
+    # s_r = s_rs + u0 exp(-Q) with Q' = Y and s_rs = 1 - s_k - p solves the
+    # paper's ds_r/dt = (1 - s_k - s_r - p) Y from s_r(0) = s_rs + u0, and
+    # (K, E) move as in the (K, E, s_r) system
+    sympy = pytest.importorskip("sympy")
+    q_field, q = symbolic_system(CONTROLLED_Q, sympy)
+    field, names = symbolic_system(CONTROLLED, sympy)
+    s_r = q["s_r"]
+    p = 1 - q["s_k"] - q["s_rs"]
+    ds_r = sympy.diff(s_r, q["Q"]) * q_field[2]  # chain rule through Q' = Y
+    paper = field.subs({names["s_r"]: s_r, names["p"]: p})
+    assert sympy.simplify(ds_r - paper[2]) == 0
+    assert sympy.simplify(q_field[:2, 0] - paper[:2, 0]) == sympy.zeros(2, 1)
+    assert sympy.simplify(s_r.subs(q["Q"], 0) - q["s_rs"] - q["u0"]) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=stable_params(), s_r_star=st.floats(0.02, 0.9))
+def test_declared_q_system_has_no_fast_mode(params, s_r_star):
+    # at the controlled equilibrium (u0 = 0) the (K, E, Q) Jacobian is block
+    # triangular: the basic block at s_r* and Q's 0, where the (K, E, s_r)
+    # one has -Y0 in its place
+    sympy = pytest.importorskip("sympy")
+    s_r_star = min(s_r_star, 0.98 - params.s_k)
+    p = 1.0 - params.s_k - s_r_star
+    report = controlled_equilibrium(params, p)
+    assert report.eigenvalues[2] == -report.Y0
+    _, jacobian = parsed_system(CONTROLLED_Q, sympy)
+    values = dict(K=report.K0, E=report.E0, Q=0.0, s_rs=s_r_star, u0=0.0)
+    args = [values[n] if n in values else getattr(params, n)
+            for n in CONTROLLED_Q.states + CONTROLLED_Q.constants]
+    eigenvalues = np.linalg.eigvals(np.asarray(jacobian(*args), dtype=float))
+    expected = np.array(report.eigenvalues[:2] + (0.0,))
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(np.sort(eigenvalues.real), np.sort(expected),
+                               rtol=1e-9, atol=1e-9 * scale)
+    assert np.abs(eigenvalues.imag).max() <= 1e-9 * scale
+    assume(min(abs(e + report.Y0) for e in expected) > 1e-3 * report.Y0)
+    assert min(abs(e + report.Y0) for e in eigenvalues) > 1e-3 * report.Y0
+
+
+@pytest.mark.parametrize("horizon", [20.0, 200.0])
+@pytest.mark.parametrize("p", [0.40, 0.47, 0.55])
+def test_horizon_output_matches_scipy_on_the_paper_field(p, horizon):
+    # Y(T) of the (K, E, Q) run against scipy's DOP853 on the (K, E, s_r)
+    # field at a tight tolerance, for criterion 6's start
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    params = ModelParams(**BASELINE)
+    field = control_rhs(params, p)
+    ref = scipy_integrate.solve_ivp(
+        lambda t, y: field(np.asarray(y)), (0.0, horizon), [4.0, 1.0, 0.1],
+        method="DOP853", rtol=1e-13, atol=1e-14).y[:, -1]
+    y_ref = output(params, ref[0], ref[1])
+    y_end = horizon_output(params, p, EconState(4.0, 1.0), 0.1, horizon)
+    assert abs(y_end / y_ref - 1.0) <= 1e-8

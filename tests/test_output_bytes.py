@@ -153,7 +153,7 @@ TIPPING_STDOUT = [
      "growth_at_bracket=0.00186472,-0.00343288\nhorizon=50\n"),
     (["--tol", "1e-6"],
      "p_star=0.46615\nbracket=0.46615,0.466151\n"
-     "growth_at_bracket=2.68822e-06,-2.70591e-06\nhorizon=200\n"),
+     "growth_at_bracket=2.68828e-06,-2.70585e-06\nhorizon=200\n"),
     # the pair does not fit: the ends and one ITP run
     (["--tol", "0.15"],
      "p_star=0.4375\nbracket=0.4,0.475\n"
