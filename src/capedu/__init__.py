@@ -16,7 +16,6 @@ from .control import TippingResult, find_tipping, simulate_controlled
 from .errors import (
     CapEduError,
     DomainError,
-    NonFiniteState,
     NoSignChange,
     StepLimitExceeded,
     StructurallyUnstable,

@@ -42,10 +42,19 @@ def _write_output(text: str, out: str | None):
         raise OSError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
+def _read(path: str, field: str) -> str:
+    """The text of the file at path, which must be UTF-8 (ValidationError
+    naming field, scenario or csv, if it is not)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(field, f"not UTF-8 text: {exc.reason} at "
+                                         f"offset {exc.start}") from None
+
+
 def _load(path: str) -> scenario_io.Scenario:
-    with open(path) as fh:
-        text = fh.read()
-    scenario = scenario_io.load_scenario(text)
+    scenario = scenario_io.load_scenario(_read(path, "scenario"))
     for warning in scenario.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return scenario
@@ -132,8 +141,7 @@ def _cmd_phase(args) -> str:
 
 
 def _cmd_plot(args) -> str:
-    with open(args.csv) as fh:
-        header, table = scenario_io.read_trajectory_csv(fh.read())
+    header, table = scenario_io.read_trajectory_csv(_read(args.csv, "csv"))
     wanted = args.columns.split(",") if args.columns else header[1:]
     for name in [header[0], *wanted]:
         if name not in header:

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import model
 from .analysis import check_target, tipping_root
-from .errors import NoSignChange, StructurallyUnstable, require_positive
+from .errors import (NoSignChange, StructurallyUnstable, ValidationError,
+                     require_positive)
 from .integrator import IntegratorSettings, integrate
 from .model import EconState, ModelParams, output
 from .trajectory import Trajectory, build_trajectory
@@ -74,7 +75,8 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     NoSignChange, which an output Y(0) that underflows to 0 raises before
     any run (Y stays 0, and so dY, at every p).  horizon, then tol (a NaN
     tol would end the search) must be finite and positive, then both ends
-    must pass check_target; the first run checks s_r0 (check_control).
+    must pass check_target and p_low < p_high, else ValidationError; the
+    first run checks s_r0 (check_control).
 
     The search runs pairs x -+ tol/2 inside the bracket: first around
     p_inf, the closed-form root of an infinite horizon
@@ -95,7 +97,7 @@ def find_tipping(params: ModelParams, econ0: EconState, s_r0: float,
     check_target(params, p_low)
     check_target(params, p_high)
     if not p_high > p_low:
-        raise NoSignChange(f"empty bracket [{p_low}, {p_high}]")
+        raise ValidationError("p", f"empty bracket [{p_low}, {p_high}]")
     y_start = output(params, econ0.K, econ0.E)
     if y_start == 0.0:
         raise NoSignChange("Y(0) underflows to 0: growth is 0 at every p")

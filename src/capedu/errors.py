@@ -14,15 +14,12 @@ class CapEduError(Exception):
 
 
 class DomainError(CapEduError):
-    """State left the model's domain (K or E non-positive)."""
+    """State off the domain: a stock not positive, or a value not finite."""
 
 
 class StepLimitExceeded(CapEduError):
-    """The integrator hit its step budget before reaching the end time."""
-
-
-class NonFiniteState(CapEduError):
-    """NaN or infinity appeared during integration."""
+    """The march cannot finish: its step budget ran out, or its step size
+    fell below the floor or no longer moves t."""
 
 
 class StructurallyUnstable(CapEduError):

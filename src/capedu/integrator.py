@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, NonFiniteState, StepLimitExceeded,
-                     ValidationError, require_finite, require_positive)
+from .errors import (DomainError, StepLimitExceeded, ValidationError,
+                     require_finite, require_positive)
 
 __all__ = ["IntegratorSettings", "IntegratorStats", "RawTrajectory",
            "integrate"]
@@ -133,9 +133,13 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
                 if factor > {hi!r}: factor = {hi!r}
                 h_new = h * (factor if factor > {lo!r} else {lo!r})
                 if err <= 1.0:
+                    if not h >= h_min:  # a new smallest step: does t move?
+                        if t + h == t:
+                            raise StepLimitExceeded(
+                                'step size %.6g no longer moves t' % h)
+                        h_min = h
                     t = t + h
                     accepted += 1
-                    if not h >= h_min: h_min = h
                     if not h <= h_max: h_max = h
                     {accept}
                     {fsal}
@@ -146,12 +150,12 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
             t = t_target
             j += {n}; {store}
         return steps, accepted, domain_rejected, h_min, h_max
-    except (DomainError, NonFiniteState, StepLimitExceeded) as exc:
+    except (DomainError, StepLimitExceeded) as exc:
         raise type(exc)('%s (%s)' % (exc, {where})) from exc
     except ValueError:  # a field result of another length fails to unpack
         if len(k) != {n}:
-            raise ValueError('field returned %s values for a state of {n} '
-                             '(%s)' % (len(k), {where})) from None
+            raise ValidationError('field', 'returned %s values for a state '
+                                  'of {n} (%s)' % (len(k), {where})) from None
         raise
 """
 
@@ -198,7 +202,7 @@ def _step_source(n: int, system=None) -> str:
         # each value is tested; before err, as a comparison passes a NaN
         f"total = {' + '.join(values)}",  # total - total: NaN, or 0.0 if finite
         f"if total - total and not all(map(finite, ({', '.join(values)}))):",
-        "    raise NonFiniteState('non-finite state in the step')",
+        "    raise DomainError('non-finite state in the step')",
         *(f"e{i} = h * ({_terms(_E, i)})" for i in dim),  # abs: a sign test
         *(f"e{i} = (e{i} if e{i} >= 0.0 else -e{i}) / "  # -0.0 acts as 0.0
           f"(atol + rtol * (yn{i} if yn{i} >= 0.0 else -yn{i}))" for i in dim),
@@ -289,17 +293,17 @@ def integrate(
     the field raises at a stage rejects the attempt, which counts toward the
     step budget, and retries it with h shrunk by _MIN_FACTOR; where that
     would take h below the floor 16 * 2**-52 * max(|t0|, |t1|), the
-    DomainError is raised again.  Raises StepLimitExceeded when the step
-    budget runs out or a step the error test rejects would shrink h below
-    the floor, and NonFiniteState when the solution leaves the finite
-    domain.  Each of them names the failed step's start time t, step size h
-    and state y.  A ValidationError names a bad argument: a non-finite t0,
-    a y0 not a non-empty 1-D vector (or, for a model field, of another
-    length than its System's states), a run length t1 - t0, named horizon,
-    or a sample_step not finite and positive or giving more samples than
-    the step budget.  A ValueError flags a field whose result is not 1-D
-    and as long as the state, naming t, h and y.  The trajectory's stats
-    say what the run did (IntegratorStats).
+    DomainError is raised again, as for a solution no longer finite.
+    StepLimitExceeded means the step budget ran out, a step the error test
+    rejects would shrink h below the floor, or a new smallest accepted step
+    no longer moves t.  Each names the failed step's start time t, step
+    size h and state y.  A ValidationError names a bad argument: a
+    non-finite t0, a y0 not a non-empty 1-D vector of finite numbers (or,
+    for a model field, of another length than its System's states), a run
+    length t1 - t0, named horizon, a sample_step not finite and positive or
+    giving more samples than the step budget, or, as field, a field result
+    not 1-D and as long as the state, naming t, h and y.  The trajectory's
+    stats say what the run did (IntegratorStats).
     """
     wall = time.perf_counter()
     settings = settings or DEFAULT_SETTINGS
@@ -314,7 +318,7 @@ def integrate(
     if start is None or start.ndim != 1 or start.size < 1:
         raise ValidationError("y0", "must be a non-empty 1-D state vector")
     if not np.all(np.isfinite(start)):
-        raise NonFiniteState("initial state is not finite")
+        raise ValidationError("y0", "must be finite")
 
     grid = _sample_grid(t0, t1, sample_step)
     # a rejected step may not shrink h below 16 ulps of the largest time:
@@ -327,9 +331,9 @@ def integrate(
                               f"states ({', '.join(system.states)})")
     k = field(start)  # seeds FSAL; the march checks the length of each result
     if np.ndim(k) != 1:  # the march would fail to unpack it as n numbers
-        raise ValueError(
-            f"field returned a result of shape {np.shape(k)} for a state of "
-            f"{start.size} ({_where(t0, _INITIAL_STEP, start.tolist())})")
+        raise ValidationError(
+            "field", f"returned a result of shape {np.shape(k)} for a state "
+            f"of {start.size} ({_where(t0, _INITIAL_STEP, start.tolist())})")
     if system is None and not all(type(v) is float for v in k):
         field, k = _float_results(field), list(map(float, k))
     states = np.empty((len(grid), start.size))

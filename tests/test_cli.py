@@ -13,7 +13,6 @@ from capedu.cli import run
 from capedu.errors import (
     CapEduError,
     DomainError,
-    NonFiniteState,
     NoSignChange,
     StepLimitExceeded,
     StructurallyUnstable,
@@ -248,9 +247,25 @@ def test_plot_header_only_csv_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: csv: no data rows\n")
 
 
+@pytest.mark.parametrize("argv,data,message", [
+    (["simulate", "--scenario"], b"\xff\xfe{}",
+     "scenario: not UTF-8 text: invalid start byte at offset 0"),
+    (["equilibrium", "--scenario"], b'{"kind": "b\xe9sic"}',
+     "scenario: not UTF-8 text: invalid continuation byte at offset 11"),
+    (["plot", "--csv"], b"t,Y\n0,1\n1,\xff\n",
+     "csv: not UTF-8 text: invalid start byte at offset 10"),
+], ids=["simulate", "equilibrium", "plot"])
+def test_input_that_is_not_utf8_is_exit_2(argv, data, message, tmp_path,
+                                          capsys):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert run(argv + [str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # the exit status each error class gives on the command line
 EXIT_CODES = {
-    CapEduError: 3, DomainError: 3, StepLimitExceeded: 3, NonFiniteState: 3,
+    CapEduError: 3, DomainError: 3, StepLimitExceeded: 3,
     StructurallyUnstable: 3, NoSignChange: 3, ValidationError: 2,
 }
 
@@ -368,11 +383,12 @@ def test_tipping_nan_bracket_end_is_exit_2(flag, capsys):
     assert "error: p: need 0 < p < 1 - s_k, got p=nan" in captured.err
 
 
-def test_tipping_reversed_bracket_stays_no_sign_change(capsys):
+def test_tipping_reversed_bracket_is_exit_2(capsys):
     path = SCENARIO_DIR / "controlled_p047.json"
     assert run(["tipping", "--scenario", str(path),
-                "--p-min", "0.5", "--p-max", "0.45"]) == 3
-    assert "error: empty bracket [0.5, 0.45]" in capsys.readouterr().err
+                "--p-min", "0.5", "--p-max", "0.45"]) == 2
+    assert capsys.readouterr() == ("",
+                                   "error: p: empty bracket [0.5, 0.45]\n")
 
 
 @pytest.mark.parametrize("flag,field", [

@@ -14,7 +14,7 @@ from capedu import cli, control
 from capedu.analysis import controlled_equilibrium, tipping_root
 from capedu.control import find_tipping, horizon_output, simulate_controlled
 from capedu.errors import (
-    CapEduError, NoSignChange, StructurallyUnstable, ValidationError,
+    NoSignChange, StepLimitExceeded, StructurallyUnstable, ValidationError,
 )
 from capedu.model import EconState, ModelParams, output
 
@@ -155,12 +155,15 @@ class TestFindTipping:
 
     def test_saddle_far_from_p_inf_fails_fast(self, baseline_params,
                                               start_4_1):
-        # alpha + beta > 1: a run far from p_inf grows without bound until
-        # its state leaves the doubles; in (K, E, s_r) the fast -Y mode
-        # shrank h until the step budget ran out, about a minute later
+        # alpha + beta > 1: a run far from p_inf grows without bound, and
+        # its step shrinks until it no longer moves t, long before the
+        # state leaves the doubles; in (K, E, s_r) the fast -Y mode shrank
+        # h until the step budget ran out, about a minute later
         params = replace(baseline_params, alpha=0.6, beta=0.6)
         wall = time.perf_counter()
-        with pytest.raises(CapEduError):
+        with pytest.raises(StepLimitExceeded, match=(
+                r"^step size 8\.82103e-16 no longer moves t \(from "
+                r"t=11\.3803 with h=8\.82103e-16, y=\[3\.24707e\+71, ")):
             find_tipping(params, start_4_1, 0.1, 200.0, 0.05, 0.55)
         assert time.perf_counter() - wall < 5.0
 
@@ -497,7 +500,8 @@ class TestFindTipping:
             find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.40, 0.42)
 
     def test_degenerate_bracket(self, baseline_params, start_4_1):
-        with pytest.raises(NoSignChange):
+        with pytest.raises(ValidationError,
+                           match=r"^p: empty bracket \[0.47, 0.47\]$"):
             find_tipping(baseline_params, start_4_1, 0.1, 200.0, 0.47, 0.47)
 
     @pytest.mark.parametrize("p_low,p_high,bad", [
@@ -540,7 +544,7 @@ class TestFindTipping:
         (-1.0, 1e-3, 0.40, 0.55, ValidationError),
         (200.0, math.nan, 0.40, 0.55, ValidationError),
         (200.0, 1e-3, 0.6, 0.55, ValidationError),
-        (200.0, 1e-3, 0.55, 0.40, NoSignChange),
+        (200.0, 1e-3, 0.55, 0.40, ValidationError),
     ], ids=["gate open", "gate closed", "tol wider than the bracket",
             "bad horizon", "bad tol", "bad end", "empty bracket"])
     def test_one_seed_per_search_that_passes_its_checks(

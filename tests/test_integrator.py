@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from capedu import integrator
 from capedu.errors import (
-    DomainError, NonFiniteState, StepLimitExceeded, ValidationError,
+    DomainError, StepLimitExceeded, ValidationError,
 )
 from capedu.integrator import (
     _A, _B, _E, _INITIAL_STEP, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY,
@@ -176,13 +176,16 @@ def test_non_finite_state_detected():
             return np.array([np.nan])
         return y.copy()
 
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(DomainError):
         integrate(field, [1.0], 0.0, 20.0, sample_step=20.0)
 
 
 def test_field_must_return_one_value_per_state_component():
-    with pytest.raises(ValueError, match="field returned 1 values"):
+    with pytest.raises(ValidationError,
+                       match="^field: returned 1 values") as info:
         integrate(lambda y: [0.0], [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
+    assert info.value.field == "field"
+    assert isinstance(info.value, ValueError)  # what callers may catch
 
 
 @pytest.mark.parametrize("length", [1, 3])
@@ -197,11 +200,11 @@ def test_wrong_length_at_any_stage_names_the_step(call, length):
         calls += 1
         return [0.5] * (length if calls == call else 2)
 
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValidationError) as info:
         integrate(field, [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
     message = str(info.value)
-    assert message.startswith(f"field returned {length} values for a state "
-                              f"of 2 (from t=")
+    assert message.startswith(f"field: returned {length} values for a "
+                              f"state of 2 (from t=")
     assert "with h=" in message
     assert calls == call
 
@@ -220,11 +223,11 @@ def test_badly_shaped_result_names_its_shape_and_the_start(field, n):
         calls += 1
         return field(y)
 
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValidationError) as info:
         integrate(counted, [1.0] * n, 0.0, 1.0, sample_step=0.5)
     shape = np.shape(field(np.ones(n)))
     assert str(info.value).startswith(
-        f"field returned a result of shape {shape} for a state of {n} "
+        f"field: returned a result of shape {shape} for a state of {n} "
         f"(from t=0 with h=")
     assert calls == 1  # the FSAL seed; no extra call checks it
 
@@ -240,7 +243,7 @@ def test_value_error_from_the_field_passes_through():
 
 
 def test_non_finite_initial_state():
-    with pytest.raises(NonFiniteState):
+    with pytest.raises(ValidationError, match="^y0: must be finite$"):
         integrate(decay, [np.nan], 0.0, 1.0, sample_step=0.5)
 
 
@@ -331,11 +334,20 @@ def test_non_finite_state_names_t_h_and_state():
     def field(y):
         return np.array([np.nan]) if y[0] > 2.0 else y.copy()
 
-    with pytest.raises(NonFiniteState, match=r"t=\S+ with h=\S+, y=\[\S+\]"):
+    with pytest.raises(DomainError, match=r"t=\S+ with h=\S+, y=\[\S+\]"):
         integrate(field, [1.0], 0.0, 20.0, sample_step=20.0)
 
 
-@pytest.mark.parametrize("error", [NonFiniteState, StepLimitExceeded])
+def test_step_that_no_longer_moves_t_ends_the_run():
+    # y' = y^2 from y = 1 blows up at t = 1: accepted steps shrink toward
+    # it until t + h == t, long before y overflows
+    with pytest.raises(StepLimitExceeded, match=(
+            r"^step size (\S+) no longer moves t \(from t=1 with h=\1, "
+            r"y=\[5\.7367e\+14\]\)$")):
+        integrate(lambda y: [y[0] * y[0]], [1.0], 0.0, 2.0, sample_step=2.0)
+
+
+@pytest.mark.parametrize("error", [DomainError, StepLimitExceeded])
 def test_field_errors_of_the_march_name_the_step(error):
     # the march's one handler names the step for the field's errors as well
     def field(y):
@@ -550,8 +562,8 @@ def test_non_finite_stage_is_found_at_any_call(call, bad):
         calls += 1
         return [bad if calls == call else 0.5, 0.5]
 
-    with pytest.raises(NonFiniteState, match=r"^non-finite state in the "
-                                             r"step \(from t="):
+    with pytest.raises(DomainError, match=r"^non-finite state in the "
+                                          r"step \(from t="):
         integrate(field, [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
     assert calls == (7 if call <= 7 else 13)  # the step's last stage
 
@@ -668,7 +680,7 @@ def test_overflow_of_a_numpy_field_is_a_non_finite_state():
     # on numpy scalars the march's sums would overflow with a RuntimeWarning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteState):
+        with pytest.raises(DomainError):
             integrate(lambda y: np.array([1e300]), [1e300], 0.0, 1e10,
                       sample_step=1e10)
 
@@ -724,8 +736,9 @@ def test_inlined_and_opaque_fields_raise_the_same_domain_error(
 
 def test_wrapped_model_field_of_the_wrong_length_names_the_step():
     field = basic_rhs(BASELINE)
-    with pytest.raises(ValueError, match=r"^field returned 1 values for a "
-                                         r"state of 2 \(from t=0 with h="):
+    with pytest.raises(ValidationError, match=r"^field: returned 1 values "
+                                              r"for a state of 2 \(from "
+                                              r"t=0 with h="):
         integrate(lambda v: field(v)[:1], [4.0, 1.0], 0.0, 1.0)
 
 

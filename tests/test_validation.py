@@ -171,8 +171,8 @@ def test_file_and_flag_give_the_same_error(field, value, tmp_path, capsys):
      "--e-range", "0.5:1", "--grid", "1x2", "--horizon", "inf"],
 ], ids=["tipping-empty-bracket", "tipping-bad-tol", "phase-bad-range"])
 def test_two_bad_values_report_the_horizon(argv, capsys):
-    # the horizon is checked first, so an empty bracket (exit 3) or a bad
-    # range does not hide it
+    # the horizon is checked first, so an empty bracket or a bad range does
+    # not hide it
     code, err = cli_error(argv, capsys)
     assert code == 2
     assert err.startswith("error: horizon: must be finite and positive")
