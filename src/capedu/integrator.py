@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (DomainError, StepLimitExceeded, ValidationError,
                      require_finite, require_positive)
+from .model import System
 
 __all__ = ["IntegratorSettings", "IntegratorStats", "RawTrajectory",
            "integrate"]
@@ -108,13 +110,13 @@ def _terms(weights: Sequence[float], i: int) -> str:
 # A stage outside the domain rejects the attempt too, as SUNDIALS treats a
 # recoverable right-hand-side error, unless h would fall below the floor.
 _MARCH = """\
-def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}):
+def march(t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}):
     {y}, = out[:{n}]
     j = {n}
     steps = accepted = domain_rejected = 0
     h_min = h_max = math.nan  # NaN fails both tests: the first step sets both
     try:
-        {k1}, = k
+{seed}
         for t_target, stop in zip(targets, stops):
             while t < stop:
                 if steps >= max_steps:
@@ -152,38 +154,31 @@ def march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol, {consts}
         return steps, accepted, domain_rejected, h_min, h_max
     except (DomainError, StepLimitExceeded) as exc:
         raise type(exc)('%s (%s)' % (exc, {where})) from exc
-    except ValueError:  # a field result of another length fails to unpack
-        if len(k) != {n}:
-            raise ValidationError('field', 'returned %s values for a state '
-                                  'of {n} (%s)' % (len(k), {where})) from None
-        raise
+    except ValidationError as exc:  # a field result that is not n numbers
+        raise ValidationError(exc.field, '%s (%s)' % (
+            str(exc).partition(': ')[2], {where})) from exc
 """
 
 
-def _step_source(n: int, system=None) -> str:
-    """Source of the DOPRI5 march on a state of n components.
+def _step_source(system: System) -> str:
+    """Source of the DOPRI5 march on the states of system.
 
-    march(k, t, h, targets, stops, out, max_steps, h_floor, rtol, atol,
-    *constants) steps from row 0 of out, a flat view of the states, with k
-    its first stage, and writes rows 1, 2, ... at each target once t passes
-    its stop, and returns IntegratorStats' counts and step sizes.  A step
-    writes the stages (inputs and the 5th-order solution ynI) and the check
-    (error terms eI) read off _A, _B and _E; a healthy one calls only the
-    field: a System's lines and derivatives run inline, otherwise the one
-    constant field is called on an ndarray.  The march's own names, which a
-    System's may not be, are those in _MARCH, this module's, array, finite,
-    total and the numbered yI, ynI, eI and kS_I.
+    march(t, h, targets, stops, out, max_steps, h_floor, rtol, atol,
+    *constants) seeds FSAL with the field at row 0 of out, a flat view of
+    the states, steps from there, writes rows 1, 2, ... at each target once
+    t passes its stop, and returns IntegratorStats' counts and step sizes.
+    Each evaluation runs the system's lines and derivatives inline; the
+    stages (inputs and the 5th-order solution ynI) and the check (error
+    terms eI) are read off _A, _B and _E.  The march's own names, which a
+    System's may not be, are those in _MARCH, this module's, finite, total
+    and the numbered yI, ynI, eI and kS_I.
     """
+    n = len(system.states)
     dim = range(n)
-
-    def names(prefix: str) -> str:
-        return ", ".join(f"{prefix}{i}" for i in dim)
+    ys = ", ".join(f"y{i}" for i in dim)
 
     def evaluate(s: int, inputs: list[str]) -> list[str]:
         """Lines that set k{s}_0, k{s}_1, ... to the field at inputs."""
-        if system is None:
-            return [f"k = field(array([{', '.join(inputs)}]))",
-                    f"{names(f'k{s}_')}, = k"]
         return [*(f"{x} = {v}" for x, v in zip(system.states, inputs)),
                 *system.lines,
                 *(f"k{s}_{i} = {d}" for i, d in enumerate(system.derivatives))]
@@ -209,11 +204,14 @@ def _step_source(n: int, system=None) -> str:
         "err = e0",  # max(e0, e1, ...): the first largest, in order
         *(f"if e{i} > err: err = e{i}" for i in dim[1:]),
     ]
-    where = f"_where(t, h, ({names('y')},))"
+    # where the failed step started: its time, size and accepted state
+    where = ("'from t=%.6g with h=%.6g, y=[%s]' % (t, h, ', '.join("
+             f"'%.6g' % v for v in ({ys},)))")
     return _MARCH.format(
-        consts="field" if system is None else ", ".join(system.constants),
-        y=names("y"), k1=names("k1_"), n=n, where=where, safety=_SAFETY,
-        exp=-_ORDER_EXP, lo=_MIN_FACTOR, hi=_MAX_FACTOR,
+        consts=", ".join(system.constants), y=ys, n=n, where=where,
+        safety=_SAFETY, exp=-_ORDER_EXP, lo=_MIN_FACTOR, hi=_MAX_FACTOR,
+        seed="\n".join(" " * 8 + line
+                       for line in evaluate(1, [f"y{i}" for i in dim])),
         stages="\n".join(" " * 20 + line for line in stages),
         check="\n".join(" " * 16 + line for line in check),
         accept="; ".join(f"y{i} = yn{i}" for i in dim),
@@ -222,15 +220,43 @@ def _step_source(n: int, system=None) -> str:
 
 
 @functools.cache
-def _step_for(n: int, system=None) -> Callable:
-    """_step_source(n, system) compiled in a copy of this module's names,
-    once for each dimension and system."""
-    namespace = dict(globals(), array=np.array, finite=math.isfinite,
-                     **(system.names if system is not None else {}))
-    name = f"n={n}" if system is None else system.name
-    exec(compile(_step_source(n, system), f"<dopri5 march, {name}>", "exec"),
-         namespace)
+def _step_for(system: System) -> Callable:
+    """_step_source(system) compiled in a copy of this module's names, once
+    for each system."""
+    namespace = dict(globals(), finite=math.isfinite, **system.names)
+    exec(compile(_step_source(system), f"<dopri5 march, {system.name}>",
+                 "exec"), namespace)
     return namespace["march"]
+
+
+@functools.cache
+def _opaque(n: int) -> System:
+    """Any other field as a System of n states u0, u1, ...: its line calls
+    the constant field; a list of n Python floats is kept, else _floats."""
+    u = tuple(f"u{i}" for i in range(n))
+    floats = " is ".join([*(f"type(k[{i}])" for i in range(n)), "float"])
+    return System(f"field of {n}", u, ("field",), (
+        f"{', '.join(u)}, = k if type(k := field(np.array([{', '.join(u)}])))"
+        f" is list and len(k) == {n} and {floats} else _floats(k, {n})",
+    ), u)
+
+
+def _floats(k, n: int) -> list[float]:
+    """A field result as a list of n Python floats; a ValidationError naming
+    field unless it is a list, tuple or 1-D ndarray of n real numbers."""
+    if type(k) is np.ndarray and k.ndim == 1:
+        if k.dtype.char == "d" and len(k) == n:  # doubles list as floats
+            return k.tolist()
+        k = k.tolist()
+    if not isinstance(k, (list, tuple)):
+        what = f"a result of shape {getattr(k, 'shape', ())}"
+    elif len(k) != n:
+        what = f"{len(k)} values"
+    elif bad := [v for v in k if not isinstance(v, numbers.Real)]:
+        what = f"a value of type {type(bad[0]).__name__}"
+    else:
+        return [float(v) for v in k]
+    raise ValidationError("field", f"returned {what} for a state of {n}")
 
 
 def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:
@@ -249,21 +275,6 @@ def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:
     return grid
 
 
-def _where(t: float, h: float, y: Sequence[float]) -> str:
-    """Where a failed step started: its time, size and accepted state."""
-    state = ", ".join(f"{v:.6g}" for v in y)
-    return f"from t={t:.6g} with h={h:.6g}, y=[{state}]"
-
-
-def _float_results(field: Callable) -> Callable:
-    """field with each result a list of Python floats: .tolist() of an
-    ndarray, float() of each number of any other sequence."""
-    def floats(y):
-        k = field(y)
-        return k.tolist() if type(k) is np.ndarray else list(map(float, k))
-    return floats
-
-
 def integrate(
     field: Callable[[np.ndarray], Sequence[float]],
     y0,
@@ -275,35 +286,26 @@ def integrate(
     """Integrate dy/dt = field(y) over [t0, t1], sampling every sample_step.
 
     field takes the state as a 1-D float ndarray and returns, on every call,
-    a sequence of exactly as many numbers: a list, a tuple or an ndarray.
-    Every value enters the march as a Python float: a field whose first
-    result holds anything else has each result converted, and t0, the
-    tolerances and a model field's constants are converted once, so that
-    numpy inputs give the bits and steps of the same floats.
-    The march is generated from the tableau once for each state dimension,
-    and once for each model System: a field that System.bind made carries
-    .system and .constants, and its expressions are inlined at each stage
-    of the step, which gives the same bits as calling it.  Any other field
-    is called once per stage.  The landing on each sample, the controller
-    and the checks run inside the march too.  It sums the stages in Python
-    floats in tableau order, so a rerun gives the same bits on any BLAS
-    build.
+    as many real numbers: a list, a tuple or an ndarray.  The march, made
+    from the tableau once per System, runs the System a field that
+    System.bind made carries, inline at each stage; any other field is
+    _opaque's constant, called once per stage, each result checked and
+    made Python floats.  So numpy inputs give the bits and steps of the same
+    floats, and the stages, summed in tableau order, the same bits on any
+    BLAS build.
 
-    The output grid always starts at t0 and ends at t1.  A DomainError that
-    the field raises at a stage rejects the attempt, which counts toward the
-    step budget, and retries it with h shrunk by _MIN_FACTOR; where that
-    would take h below the floor 16 * 2**-52 * max(|t0|, |t1|), the
-    DomainError is raised again, as for a solution no longer finite.
-    StepLimitExceeded means the step budget ran out, a step the error test
-    rejects would shrink h below the floor, or a new smallest accepted step
-    no longer moves t.  Each names the failed step's start time t, step
-    size h and state y.  A ValidationError names a bad argument: a
-    non-finite t0, a y0 not a non-empty 1-D vector of finite numbers (or,
-    for a model field, of another length than its System's states), a run
-    length t1 - t0, named horizon, a sample_step not finite and positive or
-    giving more samples than the step budget, or, as field, a field result
-    not 1-D and as long as the state, naming t, h and y.  The trajectory's
-    stats say what the run did (IntegratorStats).
+    The output grid always starts at t0 and ends at t1.  A DomainError at a
+    stage rejects the attempt and retries it with h shrunk by _MIN_FACTOR;
+    at y0, or where h would fall below 16 * 2**-52 * max(|t0|, |t1|), it is
+    raised again.  StepLimitExceeded means the step budget ran out, a
+    rejected step would shrink h below that floor, or a new smallest
+    accepted step no longer moves t.  A ValidationError names a bad
+    argument: t0 not finite; y0 not a non-empty 1-D vector of finite
+    numbers, or not one per state of a model field's System; the run length
+    t1 - t0, as horizon; sample_step not finite and positive or giving more
+    samples than the step budget; or, as field, a result not as many real
+    numbers as the state.  Each error of the march names the failed step's
+    start t, h and y.  The stats say what the run did (IntegratorStats).
     """
     wall = time.perf_counter()
     settings = settings or DEFAULT_SETTINGS
@@ -324,27 +326,20 @@ def integrate(
     # a rejected step may not shrink h below 16 ulps of the largest time:
     # t + h would no longer move t, and h would shrink until it underflows
     h_floor = 16 * 2.0 ** -52 * max(abs(t0), abs(t1))
-    system = getattr(field, "system", None)
-    if system is not None and start.size != len(system.states):
+    bound = hasattr(field, "system")  # made by System.bind
+    system = field.system if bound else _opaque(start.size)
+    if start.size != len(system.states):
         raise ValidationError("y0", f"has {start.size} components, the "
                               f"{system.name} system has {len(system.states)} "
                               f"states ({', '.join(system.states)})")
-    k = field(start)  # seeds FSAL; the march checks the length of each result
-    if np.ndim(k) != 1:  # the march would fail to unpack it as n numbers
-        raise ValidationError(
-            "field", f"returned a result of shape {np.shape(k)} for a state "
-            f"of {start.size} ({_where(t0, _INITIAL_STEP, start.tolist())})")
-    if system is None and not all(type(v) is float for v in k):
-        field, k = _float_results(field), list(map(float, k))
     states = np.empty((len(grid), start.size))
     states[0] = start
     stops = grid[1:] - 1e-14 * np.maximum(1.0, np.abs(grid[1:]))
-    steps, accepted, domain_rejected, h_min, h_max = _step_for(
-        start.size, system)(
-        k, float(t0), _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
+    steps, accepted, domain_rejected, h_min, h_max = _step_for(system)(
+        float(t0), _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
         memoryview(states.ravel()), _MAX_STEPS, float(h_floor),
         float(settings.rel_tol), float(settings.abs_tol),
-        *(field.constants if system is not None else (field,)))
+        *(field.constants if bound else (field,)))
     stats = IntegratorStats(steps, accepted, domain_rejected, h_min, h_max,
                             time.perf_counter() - wall)
     return RawTrajectory(times=grid, states=states, stats=stats)

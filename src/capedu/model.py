@@ -132,9 +132,9 @@ class System:
     names), the lines each evaluation runs first (the domain guard and Y,
     using only the names in names) and one expression per derivative.
 
-    bind() compiles the array form once per system, and integrate inlines
-    the same text at each stage of its generated march.  Names must differ
-    from the march's own (see integrator._step_source).
+    bind() compiles the array form once per system.  integrate marches only
+    Systems (any other callable as integrator._opaque's), inlining the text
+    at each stage; names must differ from those of integrator._step_source.
     """
 
     name: str

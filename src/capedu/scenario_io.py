@@ -11,6 +11,7 @@ import contextlib
 import html
 import json
 import math
+import operator
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
@@ -488,7 +489,10 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
         if not 0 < float(lo) < float(hi) < math.inf:
             raise ValidationError(name, "must be positive and increasing, "
                                   "with finite ends")
-    nk, ne = grid
+    try:
+        nk, ne = map(operator.index, grid)
+    except (TypeError, ValueError):  # not a pair, or not of integers
+        raise ValidationError("grid", f"not two integers: {grid!r}") from None
     if nk < 2 or ne < 2:
         raise ValidationError("grid", f"must be at least 2x2, got {nk}x{ne}")
 

@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capedu import errors, model
 from capedu.errors import (
     CapEduError, DomainError, StepLimitExceeded, ValidationError,
 )
-from capedu.integrator import _step_source, integrate
+from capedu.integrator import _opaque, _step_source, integrate
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "capedu"
 ERRORS = {name for name, obj in vars(errors).items()
@@ -69,10 +69,17 @@ def test_library_raises_only_its_own_errors(path):
     assert foreign_raises(path.read_text()) == []
 
 
-@pytest.mark.parametrize("system", [None, model.BASIC],
-                         ids=["opaque field", "basic system"])
-def test_generated_march_raises_only_its_own_errors(system):
-    assert foreign_raises(_step_source(2, system)) == []
+# the march of every System: any other field's, per dimension, and the model's
+MARCHES = {"opaque field": _opaque(2), "opaque field of 1": _opaque(1),
+           "opaque field of 3": _opaque(3), "basic system": model.BASIC,
+           "ne9 system": model.NE9, "modulated system": model.MODULATED,
+           "controlled system": model.CONTROLLED,
+           "controlled_q system": model.CONTROLLED_Q}
+
+
+@pytest.mark.parametrize("name", list(MARCHES))
+def test_generated_march_raises_only_its_own_errors(name):
+    assert foreign_raises(_step_source(MARCHES[name])) == []
 
 
 def test_cli_raises_only_usage_errors_besides():
@@ -91,25 +98,35 @@ def column(values):
     return np.array(values).reshape(-1, 1)
 
 
+@st.composite
+def runs(draw):
+    """A start of n numbers, the field's results, each of any length and of
+    a kind drawn per result, and t1."""
+    n = draw(st.integers(1, 3))
+    y0 = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+    values = st.one_of(st.lists(NUMBERS, min_size=n, max_size=n),
+                       st.lists(NUMBERS, max_size=n + 1))
+    kinds = st.sampled_from([list, tuple, np.array, column])
+    results = draw(st.lists(st.builds(lambda kind, v: kind(v), kinds, values),
+                            min_size=1, max_size=8))
+    return y0, results, draw(st.floats(1e-3, 1.0))
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_integrate_raises_only_its_own_errors(data):
-    # the field returns its drawn results in turn, each 1-D, of any length,
-    # or all 2-D, and then its last for good: a field that changes on
-    # every call would take steps near abs_tol until the step budget ends
-    n = data.draw(st.integers(1, 3), label="n")
-    y0 = data.draw(st.lists(NUMBERS, min_size=n, max_size=n), label="y0")
-    kind = data.draw(st.sampled_from([list, tuple, np.array, column]),
-                     label="kind")
-    results = data.draw(st.lists(
-        st.one_of(st.lists(NUMBERS, min_size=n, max_size=n),
-                  st.lists(NUMBERS, max_size=n + 1)),
-        min_size=1, max_size=8), label="results")
-    t1 = data.draw(st.floats(1e-3, 1.0), label="t1")
+@given(run=runs())
+@example(run=([1.0], [[0.5], [0.5], np.array([[0.5]])], 1.0))
+@example(run=([1.0, 2.0], [np.array([0.5, 0.5]), [[0.5], [0.5]]], 1.0))
+@example(run=([1.0], [[0.5], [None]], 1.0))
+@example(run=([1.0, 2.0], [[0.5, 1.0], [None, 1.0]], 1.0))
+def test_integrate_raises_only_its_own_errors(run):
+    # the field returns its results in turn and then its last for good: a
+    # field that changes on every call would take steps near abs_tol until
+    # the step budget ends
+    y0, results, t1 = run
     calls = itertools.count()
 
     def field(y):
-        return kind(results[min(next(calls), len(results) - 1)])
+        return results[min(next(calls), len(results) - 1)]
 
     try:
         integrate(field, y0, 0.0, t1)

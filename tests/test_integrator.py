@@ -16,10 +16,11 @@ from capedu.errors import (
 from capedu.integrator import (
     _A, _B, _E, _INITIAL_STEP, _MAX_FACTOR, _MIN_FACTOR, _ORDER_EXP, _SAFETY,
     CHAOS_SETTINGS, DEFAULT_SETTINGS, IntegratorSettings, _sample_grid,
-    _step_for, _step_source, integrate,
+    _opaque, _step_for, _step_source, integrate,
 )
 from capedu.model import (
-    CONTROLLED_Q, ModelParams, basic_rhs, control_rhs, modulated_rhs, ne9_rhs,
+    BASIC, CONTROLLED, CONTROLLED_Q, MODULATED, NE9, ModelParams, basic_rhs,
+    control_rhs, modulated_rhs, ne9_rhs,
 )
 
 BASELINE = ModelParams(s_k=0.4, s_r=0.1, delta_k=0.15, delta_r=0.25,
@@ -230,6 +231,45 @@ def test_badly_shaped_result_names_its_shape_and_the_start(field, n):
         f"field: returned a result of shape {shape} for a state of {n} "
         f"(from t=0 with h=")
     assert calls == 1  # the FSAL seed; no extra call checks it
+
+
+# every result is checked, not only the first: each run's field returns its
+# results in turn, and the last is refused at the step that asked for it
+LATER_BAD_RESULTS = {
+    "2-D ndarray": ([1.0], [[0.5], [0.5], np.array([[0.5]])], 3,
+                    "a result of shape (1, 1)"),
+    "nested list": ([1.0, 2.0], [np.array([0.5, 0.5]), [[0.5], [0.5]]], 2,
+                    "a value of type list"),
+    "None": ([1.0], [[0.5], [None]], 2, "a value of type NoneType"),
+    "None of two": ([1.0, 2.0], [[0.5, 1.0], [None, 1.0]], 2,
+                    "a value of type NoneType"),
+}
+
+
+@pytest.mark.parametrize("name", list(LATER_BAD_RESULTS))
+def test_later_bad_result_names_the_step(name):
+    y0, results, call, what = LATER_BAD_RESULTS[name]
+    calls = 0
+
+    def field(y):
+        nonlocal calls
+        calls += 1
+        return results[min(calls, len(results)) - 1]
+
+    with pytest.raises(ValidationError) as info:
+        integrate(field, y0, 0.0, 1.0, sample_step=0.5)
+    assert info.value.field == "field"
+    assert str(info.value).startswith(
+        f"field: returned {what} for a state of {len(y0)} (from t=0 with "
+        f"h=0.001, y=[")
+    assert calls == call
+
+
+def test_start_outside_the_domain_names_the_step():
+    # the march seeds FSAL itself, so the first evaluation names it too
+    with pytest.raises(DomainError) as info:
+        integrate(basic_rhs(BASELINE), [-1.0, 1.0], 0.0, 1.0)
+    assert str(info.value).endswith("(from t=0 with h=0.001, y=[-1, 1])")
 
 
 def test_value_error_from_the_field_passes_through():
@@ -568,15 +608,16 @@ def test_non_finite_stage_is_found_at_any_call(call, bad):
     assert calls == (7 if call <= 7 else 13)  # the step's last stage
 
 
-# the calls a healthy step may make: the field (an opaque one on an
-# ndarray), and the domain guard's _require_positive, which only raises
-HEALTHY_CALLS = {"field", "array", "_require_positive"}
+# the calls a healthy step may make: the domain guard's _require_positive,
+# which only raises, and the line of any other field: the field on an
+# ndarray, and the type and length tests of its result
+HEALTHY_CALLS = {"_require_positive", "field", "np.array", "type", "len"}
 
 
 def healthy_path(source: str) -> ast.FunctionDef:
     """The march with what runs only on the way to a raise cut out: the
     body of each if that raises, the operands after the first of its and,
-    and the except handlers."""
+    the except handlers, and the _floats of an opaque field's line."""
     march = ast.parse(source).body[0]
     for node in ast.walk(march):
         if isinstance(node, ast.If) and any(
@@ -588,26 +629,32 @@ def healthy_path(source: str) -> ast.FunctionDef:
                 node.test = node.test.values[0]
         elif isinstance(node, ast.ExceptHandler):
             node.body = [ast.Pass()]
+        elif isinstance(node, ast.IfExp) and "_floats(" in ast.unparse(
+                node.orelse):
+            node.orelse = node.body
     return march
 
 
-@pytest.mark.parametrize("field,n", [
-    (basic_rhs(BASELINE), 2), (control_rhs(BASELINE, 0.47), 3),
-    (ne9_rhs(), 3), (modulated_rhs(BASELINE, 0.5), 5), (decay, 2),
+@pytest.mark.parametrize("system", [
+    BASIC, CONTROLLED, NE9, MODULATED, _opaque(2),
 ], ids=["basic", "controlled", "ne9", "modulated", "opaque"])
-def test_healthy_step_calls_only_the_field(field, n):
-    source = _step_source(n, getattr(field, "system", None))
-    assert "all(map(finite, (" in source and "len(k)" in source
+def test_healthy_step_calls_only_the_field(system):
+    source = _step_source(system)
+    assert "all(map(finite, (" in source
     march = healthy_path(source)
-    text = ast.unparse(march)
+    # the march's own lines: a test of the field's result is the field's
+    own = source
+    for line in system.lines:
+        own = own.replace(line, "pass")
+    text = ast.unparse(healthy_path(own))
     for call in ("abs(", "max(", "min(", "len(", "finite("):
         assert call not in text
     # the body of the loop over the samples: every step, and each store
     loop, = [node for node in march.body[-1].body if isinstance(node, ast.For)]
-    called = {node.func.id for statement in loop.body
+    called = {ast.unparse(node.func) for statement in loop.body
               for node in ast.walk(statement) if isinstance(node, ast.Call)}
     assert called <= HEALTHY_CALLS
-    assert ("field" in called) == (field is decay)
+    assert ("field" in called) == (system is _opaque(2))
 
 
 # free-stepped to the endpoint, where the controller rejects steps: ne9
@@ -743,11 +790,11 @@ def test_wrapped_model_field_of_the_wrong_length_names_the_step():
 
 
 def test_generated_steps_stay_readable(monkeypatch):
-    inlined = _step_source(2, basic_rhs(BASELINE).system)
+    inlined = _step_source(BASIC)
     assert "field(" not in inlined
-    assert inlined.count("_require_positive(K, E)") == 6
-    # one call per stage after the FSAL seed: 1 + 6k calls for k steps
-    assert _step_source(2).count("field(") == 6
+    # the FSAL seed, then one evaluation per stage: 1 + 6k calls for k steps
+    assert inlined.count("_require_positive(K, E)") == 7
+    assert _step_source(_opaque(2)).count("field(") == 7
     integrate(basic_rhs(BASELINE), [4.0, 1.0], 0.0, 1.0)
 
     def refuse(*args, **kwargs):
@@ -816,8 +863,12 @@ def test_generated_step_same_bits_in_every_dimension(n, data):
 
 
 def test_step_built_once_per_dimension():
-    assert _step_for(4) is _step_for(4)
-    assert _step_for(4) is not _step_for(6)
+    # one march per System, and one opaque System per dimension
+    assert _opaque(4) is _opaque(4)
+    assert _step_for(_opaque(4)) is _step_for(_opaque(4))
+    assert _step_for(_opaque(4)) is not _step_for(_opaque(6))
+    assert _step_for(BASIC) is _step_for(BASIC)
+    assert _step_for(BASIC) is not _step_for(_opaque(2))
 
 
 def rhs_calls(loop, field, *args):

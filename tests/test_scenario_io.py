@@ -1140,10 +1140,15 @@ class TestPhasePortrait:
         assert exc.value.field == "e_range"
 
     def test_grid_below_2x2_names_the_field(self, baseline_params):
-        with pytest.raises(ValidationError) as exc:
-            phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
-                           grid=(2, 1))
-        assert exc.value.field == "grid"
+        # and a grid that is not two integers (numpy integers are)
+        for grid in ((2, 1), (2.5, 3), (2, "3"), 8, (2, 2, 2)):
+            with pytest.raises(ValidationError) as exc:
+                phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
+                               grid=grid, horizon=10.0)
+            assert exc.value.field == "grid"
+        portrait = phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
+                                  grid=(np.int64(2), np.int32(2)), horizon=1.0)
+        assert len(portrait.trajectories) == 4
 
     def test_phase_csv_shape(self, baseline_params):
         portrait = phase_portrait(baseline_params, (1.0, 2.0), (0.5, 1.0),
