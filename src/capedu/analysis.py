@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import StructurallyUnstable, ValidationError
+from .errors import (StructurallyUnstable, ValidationError, require_real,
+                     require_series)
 from .model import ModelParams, output
 
 __all__ = [
@@ -104,11 +105,11 @@ def eigen_basic(params: ModelParams) -> tuple[float, float]:
 
 
 def classify(eigenvalues) -> Stability:
-    """Stability class from a nonempty list of real eigenvalues; one within
+    """Stability class of one or more finite real eigenvalues; one within
     DEGENERACY_TOL of zero, relative to the largest |eigenvalue|, is zero."""
-    eigs = [float(e) for e in eigenvalues]
-    if not eigs:
-        raise ValidationError("eigenvalues", "need at least one")
+    eigs = require_series("eigenvalues", eigenvalues).tolist()
+    if not all(map(math.isfinite, eigs)):
+        raise ValidationError("eigenvalues", "must be finite")
     scale = max(abs(e) for e in eigs)
     if any(abs(e) <= DEGENERACY_TOL * scale for e in eigs):
         return Stability.DEGENERATE
@@ -132,7 +133,7 @@ def equilibrium_report(params: ModelParams) -> EquilibriumReport:
 
 def check_target(params: ModelParams, p: float) -> None:
     """Raise ValidationError unless 0 < p < 1 - s_k, so that s_r* > 0."""
-    if not 0 < p < 1 - params.s_k:
+    if not 0 < require_real("p", p) < 1 - params.s_k:
         raise ValidationError("p", f"need 0 < p < 1 - s_k, got p={p}")
 
 

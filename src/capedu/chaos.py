@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import model
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, require_finite, require_series
 from .integrator import CHAOS_SETTINGS, IntegratorSettings, RawTrajectory, integrate
 from .model import EconState, ModelParams
 from .trajectory import Trajectory, build_trajectory
@@ -38,9 +38,9 @@ def running_average(times, values) -> np.ndarray:
     samples that starts at t = 0 and increases strictly, and values unless
     they have the shape of times.
     """
-    t = np.asarray(times, dtype=float)
-    x = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.size < 2:
+    t = require_series("times", times)
+    x = require_series("values", values)
+    if t.size < 2:
         raise ValidationError("times", "need a 1-D series of at least two "
                               "samples")
     if abs(t[0]) > 1e-12:
@@ -64,6 +64,7 @@ def simulate_modulated(params: ModelParams, c: float, econ0: EconState,
     The returned trajectory carries Y and C series and the minimum of the
     effective capital coefficient over the run.
     """
+    chaos0 = require_series("chaos0", chaos0, 3).tolist()
     for name, value in zip(("c", "x0", "y0", "z0", "b"), (c, *chaos0, b)):
         require_finite(name, value)  # as a ChaosSpec checks them
     y0 = np.array([econ0.K, econ0.E, *chaos0])

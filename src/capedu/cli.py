@@ -83,6 +83,9 @@ def _cmd_simulate(args) -> str:
 
 def _cmd_equilibrium(args) -> str:
     scenario = _load(args.scenario)
+    if scenario.chaos is not None:  # the modulated system has none
+        print("warning: chaotic scenario: equilibrium of the unmodulated "
+              "economy (c = 0)", file=sys.stderr)
     if scenario.control is not None:
         report = controlled_equilibrium(scenario.params, scenario.control.p)
     else:

@@ -45,8 +45,7 @@ def simulate_controlled(params: ModelParams, p: float, econ0: EconState,
     [s_r_floor, 1 - s_k].
     """
     check_control(params, p, s_r0)
-    y0 = np.array([econ0.K, econ0.E, s_r0])
-    raw = integrate(model.control_rhs(params, p), y0,
+    raw = integrate(model.control_rhs(params, p), [econ0.K, econ0.E, s_r0],
                     0.0, horizon, settings, sample_step)
     return build_trajectory(params, raw, model.CONTROLLED.states)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -21,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, StepLimitExceeded, ValidationError,
-                     require_finite, require_positive)
+                     require_finite, require_positive, require_real,
+                     require_series)
 from .model import System
 
 __all__ = ["IntegratorSettings", "IntegratorStats", "RawTrajectory",
@@ -232,31 +232,15 @@ def _step_for(system: System) -> Callable:
 @functools.cache
 def _opaque(n: int) -> System:
     """Any other field as a System of n states u0, u1, ...: its line calls
-    the constant field; a list of n Python floats is kept, else _floats."""
+    the constant field; a list of n Python floats is kept, else
+    require_series."""
     u = tuple(f"u{i}" for i in range(n))
     floats = " is ".join([*(f"type(k[{i}])" for i in range(n)), "float"])
     return System(f"field of {n}", u, ("field",), (
         f"{', '.join(u)}, = k if type(k := field(np.array([{', '.join(u)}])))"
-        f" is list and len(k) == {n} and {floats} else _floats(k, {n})",
+        f" is list and len(k) == {n} and {floats} else "
+        f"require_series('field', k, {n}).tolist()",
     ), u)
-
-
-def _floats(k, n: int) -> list[float]:
-    """A field result as a list of n Python floats; a ValidationError naming
-    field unless it is a list, tuple or 1-D ndarray of n real numbers."""
-    if type(k) is np.ndarray and k.ndim == 1:
-        if k.dtype.char == "d" and len(k) == n:  # doubles list as floats
-            return k.tolist()
-        k = k.tolist()
-    if not isinstance(k, (list, tuple)):
-        what = f"a result of shape {getattr(k, 'shape', ())}"
-    elif len(k) != n:
-        what = f"{len(k)} values"
-    elif bad := [v for v in k if not isinstance(v, numbers.Real)]:
-        what = f"a value of type {type(bad[0]).__name__}"
-    else:
-        return [float(v) for v in k]
-    raise ValidationError("field", f"returned {what} for a state of {n}")
 
 
 def _sample_grid(t0: float, t1: float, sample_step: float) -> np.ndarray:
@@ -300,26 +284,20 @@ def integrate(
     raised again.  StepLimitExceeded means the step budget ran out, a
     rejected step would shrink h below that floor, or a new smallest
     accepted step no longer moves t.  A ValidationError names a bad
-    argument: t0 not finite; y0 not a non-empty 1-D vector of finite
-    numbers, or not one per state of a model field's System; the run length
-    t1 - t0, as horizon; sample_step not finite and positive or giving more
-    samples than the step budget; or, as field, a result not as many real
-    numbers as the state.  Each error of the march names the failed step's
-    start t, h and y.  The stats say what the run did (IntegratorStats).
+    argument: t0 not finite, t1 not a number, y0 not a non-empty vector of
+    finite numbers, or not one per state of a model field's System, the run
+    length t1 - t0 (as horizon), sample_step not finite and positive or
+    giving more samples than the step budget, or, as field, a result not as
+    many real numbers as the state.  Each error of the march names the
+    failed step's start t, h and y.  The stats say what the run did.
     """
     wall = time.perf_counter()
     settings = settings or DEFAULT_SETTINGS
-    require_finite("t0", t0)
+    t0, t1 = require_finite("t0", t0), require_real("t1", t1)
     require_positive("horizon", t1 - t0)
-    require_positive("sample_step", sample_step)
-
-    try:
-        start = np.array(y0, dtype=float)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        start = None
-    if start is None or start.ndim != 1 or start.size < 1:
-        raise ValidationError("y0", "must be a non-empty 1-D state vector")
-    if not np.all(np.isfinite(start)):
+    sample_step = require_positive("sample_step", sample_step)
+    start = require_series("y0", y0)
+    if not np.isfinite(start).all():
         raise ValidationError("y0", "must be finite")
 
     grid = _sample_grid(t0, t1, sample_step)
@@ -336,8 +314,8 @@ def integrate(
     states[0] = start
     stops = grid[1:] - 1e-14 * np.maximum(1.0, np.abs(grid[1:]))
     steps, accepted, domain_rejected, h_min, h_max = _step_for(system)(
-        float(t0), _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
-        memoryview(states.ravel()), _MAX_STEPS, float(h_floor),
+        t0, _INITIAL_STEP, grid.tolist()[1:], stops.tolist(),
+        memoryview(states.ravel()), _MAX_STEPS, h_floor,
         float(settings.rel_tol), float(settings.abs_tol),
         *(field.constants if bound else (field,)))
     stats = IntegratorStats(steps, accepted, domain_rejected, h_min, h_max,

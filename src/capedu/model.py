@@ -23,7 +23,8 @@ import re
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .errors import DomainError, ValidationError, require_positive
+from .errors import (DomainError, ValidationError, require_finite,
+                     require_positive)
 
 __all__ = [
     "ModelParams", "EconState", "output", "basic_rhs", "ne9_rhs",
@@ -55,24 +56,21 @@ class ModelParams:
     s_r_floor: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.s_k <= 1:
-            raise ValidationError("s_k", "must lie in [0, 1]")
-        if not self.s_r > 0:
-            raise ValidationError("s_r", "must be positive")
-        if not self.s_r <= 1:
-            raise ValidationError("s_r", "must be at most 1")
-        if not self.s_r_floor >= 0:  # NaN fails too
-            raise ValidationError("s_r_floor", "must be non-negative")
-        if self.s_r < self.s_r_floor:
-            raise ValidationError("s_r", "below s_r_floor")
-        if self.s_k + self.s_r > 1:
-            raise ValidationError("s_k", "s_k + s_r must not exceed 1")
-        require_positive("delta_k", self.delta_k)
-        require_positive("delta_r", self.delta_r)
-        if not 0 < self.alpha < 1:
-            raise ValidationError("alpha", "must lie in (0, 1)")
-        if not 0 < self.beta < 1:
-            raise ValidationError("beta", "must lie in (0, 1)")
+        for name, value in vars(self).items():  # numbers, before any range
+            (require_positive if name in ("delta_k", "delta_r")
+             else require_finite)(name, value)
+        for name, holds, rule in (  # the first rule that fails is named
+                ("s_k", 0 <= self.s_k <= 1, "must lie in [0, 1]"),
+                ("s_r", self.s_r > 0, "must be positive"),
+                ("s_r", self.s_r <= 1, "must be at most 1"),
+                ("s_r_floor", self.s_r_floor >= 0, "must be non-negative"),
+                ("s_r", self.s_r >= self.s_r_floor, "below s_r_floor"),
+                ("s_k", self.s_k + self.s_r <= 1,
+                 "s_k + s_r must not exceed 1"),
+                ("alpha", 0 < self.alpha < 1, "must lie in (0, 1)"),
+                ("beta", 0 < self.beta < 1, "must lie in (0, 1)")):
+            if not holds:
+                raise ValidationError(name, rule)
 
 
 @dataclass(frozen=True)

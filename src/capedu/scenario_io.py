@@ -22,7 +22,7 @@ from . import control as control_mod
 from . import model
 from .analysis import equilibrium
 from .errors import (CapEduError, StructurallyUnstable, ValidationError,
-                     require_finite, require_positive)
+                     require_finite, require_positive, require_series)
 from .integrator import (CHAOS_SETTINGS, IntegratorSettings, RawTrajectory,
                          _sample_grid, integrate)
 from .model import EconState, ModelParams
@@ -113,19 +113,6 @@ class Scenario:
         return ()
 
 
-def _number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ValidationError(where, f"must be a number, got {obj!r}")
-    try:
-        value = float(obj)
-    except OverflowError:  # an integer literal too large for a double
-        value = math.inf
-    if not math.isfinite(value):
-        # json accepts the non-standard Infinity and NaN literals
-        raise ValidationError(where, f"must be a finite number, got {obj!r}")
-    return value
-
-
 def _block(doc: dict, name: str, cls, default=None):
     """Build cls, which checks its own ranges, from the object doc[name]; a
     key the object leaves out takes its value from default, when given."""
@@ -139,7 +126,7 @@ def _block(doc: dict, name: str, cls, default=None):
     values = {}
     for f in keys:
         if f.name in raw:
-            values[f.name] = _number(raw[f.name], f"{name}.{f.name}")
+            values[f.name] = require_finite(f"{name}.{f.name}", raw[f.name])
         elif f.default is MISSING and default is None:
             raise ValidationError(f"{name}.{f.name}", "missing required field")
     return cls(**values) if default is None else replace(default, **values)
@@ -168,7 +155,7 @@ def load_scenario(text: str) -> Scenario:
     blocks = {name: _block(doc, name, cls, base.get(name))
               for name, cls in {**_SHARED_BLOCKS, **_KIND_BLOCKS}.items()
               if name in doc}
-    timing = {k: _number(doc[k], k) for k in ("horizon", "sample_step")}
+    timing = {k: require_finite(k, doc[k]) for k in ("horizon", "sample_step")}
     return Scenario(kind=kind, **timing, **blocks)
 
 
@@ -195,9 +182,8 @@ def run_scenario(scenario: Scenario) -> Trajectory:
         return chaos_mod.simulate_modulated(
             s.params, ch.c, s.initial, (ch.x0, ch.y0, ch.z0), ch.b,
             s.horizon, s.integrator, s.sample_step)
-    y0 = np.array([s.initial.K, s.initial.E])
-    raw = integrate(model.basic_rhs(s.params), y0, 0.0, s.horizon,
-                    s.integrator, s.sample_step)
+    raw = integrate(model.basic_rhs(s.params), [s.initial.K, s.initial.E],
+                    0.0, s.horizon, s.integrator, s.sample_step)
     return build_trajectory(s.params, raw, model.BASIC.states)
 
 
@@ -215,13 +201,12 @@ class SweepSpec:
             raise ValidationError(
                 "parameter", f"{self.parameter} is not a field of the blocks "
                 f"of a {kind} scenario ({', '.join(blocks)})")
-        # a tuple, since an ndarray of two or more values has no truth value
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValidationError("values", "must be non-empty")
+        object.__setattr__(self, "values", tuple(
+            require_series("values", self.values).tolist()))
         # checked before any run, by the rule Trajectory.at applies
         grid = _sample_grid(0.0, self.base.horizon, self.base.sample_step)
-        if sample_index(grid, self.report_time) is None:
+        if sample_index(grid, require_finite("report_time",
+                                             self.report_time)) is None:
             raise ValidationError(
                 "report_time", "must be a sample time of the base scenario "
                 "(a multiple of sample_step within [0, horizon], or horizon)")
@@ -388,29 +373,33 @@ def render_svg(series, title: str = "") -> str:
     Each point is written as "{:.2f},{:.2f}".format writes it: the exact
     binary value rounded to hundredths, a tie to the even neighbour.  A
     polyline of 128 points or more is formatted in numpy to the same text;
-    a shorter one is formatted point by point.  A series that is empty or
-    ragged, has a value that is not finite, or widens the plotted range past
-    the largest double raises ValidationError naming it (series: no series).
+    a shorter one is formatted point by point.  A series that is not two
+    1-D series of real numbers of one length, has a value that is not
+    finite, or widens the plotted range past the largest double raises
+    ValidationError naming it (series: none, or not such triples).
     """
+    try:
+        series = [(str(label), t, v) for label, t, v in series]
+    except (TypeError, ValueError):  # not an iterable of triples
+        series = None
     if not series:
-        raise ValidationError("series", "none to plot")
+        raise ValidationError("series", "need (label, times, values) triples")
     cleaned = []
     x_lo = y_lo = math.inf
     x_hi = y_hi = -math.inf
     for label, times, values in series:
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.size == 0 or t.size != v.size:
-            raise ValidationError(str(label), "empty or ragged")
+        t, v = require_series(label, times), require_series(label, values)
+        if t.size != v.size:
+            raise ValidationError(label, "empty or ragged")
         ends = float(t.min()), float(t.max()), float(v.min()), float(v.max())
         x_lo, x_hi = min(x_lo, ends[0]), max(x_hi, ends[1])
         y_lo, y_hi = min(y_lo, ends[2]), max(y_hi, ends[3])
         # min and max return a NaN the series has; finite spans keep every
         # coordinate finite
         if not all(map(math.isfinite, (*ends, x_hi - x_lo, y_hi - y_lo))):
-            raise ValidationError(str(label), "values must be finite, within "
+            raise ValidationError(label, "values must be finite, within "
                                   "a range a double can span")
-        cleaned.append((str(label), t, v))
+        cleaned.append((label, t, v))
 
     x_lo, x_hi = _axis(x_lo, x_hi)
     y_lo, y_hi = _axis(y_lo, y_hi)
@@ -485,8 +474,10 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
     """Vector-field samples on a grid plus one trajectory seeded per node,
     sampled every 1.0."""
     require_positive("horizon", horizon)  # first, as in find_tipping
-    for name, (lo, hi) in (("k_range", k_range), ("e_range", e_range)):
-        if not 0 < float(lo) < float(hi) < math.inf:
+    ranges = {"k_range": k_range, "e_range": e_range}
+    for name, pair in ranges.items():
+        lo, hi = ranges[name] = require_series(name, pair, 2).tolist()
+        if not 0 < lo < hi < math.inf:
             raise ValidationError(name, "must be positive and increasing, "
                                   "with finite ends")
     try:
@@ -497,8 +488,8 @@ def phase_portrait(params: ModelParams, k_range, e_range, grid=(8, 8),
         raise ValidationError("grid", f"must be at least 2x2, got {nk}x{ne}")
 
     rhs = model.basic_rhs(params)
-    ks = np.linspace(*map(float, k_range), nk)
-    es = np.linspace(*map(float, e_range), ne)
+    ks = np.linspace(*ranges["k_range"], nk)
+    es = np.linspace(*ranges["e_range"], ne)
     samples = []
     trajectories = []
     for K in ks:

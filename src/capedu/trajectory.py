@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 from .integrator import IntegratorStats, RawTrajectory
 from .model import ModelParams, output
 
@@ -43,7 +43,7 @@ class Trajectory:
 
         Raises ValidationError("t", ...) when t is not a sample time.
         """
-        i = sample_index(self.times, t)
+        i = sample_index(self.times, require_real("t", t))
         if i is None:
             raise ValidationError("t", f"{t!r} is not a sample time")
         return {name: float(self.data[name][i]) for name in self.columns}

@@ -85,6 +85,27 @@ def test_equilibrium_controlled_under_a_floor(tmp_path, capsys):
     assert len(printed[0].splitlines()) == 5
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in
+                                        SCENARIO_DIR.glob("*.json")))
+def test_equilibrium_says_which_system_it_solved(name, tmp_path, capsys):
+    # the modulated system has no equilibrium: a chaotic scenario reports its
+    # unmodulated economy's, the lines of a basic scenario of its params
+    doc = json.loads((SCENARIO_DIR / name).read_text())
+    assert run(["equilibrium", "--scenario", str(SCENARIO_DIR / name)]) == 0
+    out, err = capsys.readouterr()
+    if doc["kind"] != "chaotic":
+        assert err == ""
+        return
+    assert err == ("warning: chaotic scenario: equilibrium of the "
+                   "unmodulated economy (c = 0)\n")
+    basic = {k: doc[k] for k in ("params", "initial", "horizon",
+                                 "sample_step")}
+    path = tmp_path / "basic.json"
+    path.write_text(json.dumps({"kind": "basic", **basic}))
+    assert run(["equilibrium", "--scenario", str(path)]) == 0
+    assert capsys.readouterr() == (out, "")
+
+
 def test_sweep(basic_scenario, capsys):
     assert run(["sweep", "--scenario", str(basic_scenario),
                 "--param", "delta_r", "--values", "0.25,0.15",
@@ -445,7 +466,9 @@ def test_non_finite_scenario_number_is_exit_2(block, key, basic_scenario,
     path.write_text(json.dumps(doc))  # writes the literal Infinity
     out = tmp_path / "run.csv"
     assert run(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
-    assert "must be a finite number" in capsys.readouterr().err
+    field = key if block is None else f"{block}.{key}"
+    assert f"error: {field}: must be finite, got inf\n" == \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import math
+import reprlib
 import warnings
 from dataclasses import astuple, replace
 
@@ -182,8 +183,8 @@ def test_non_finite_state_detected():
 
 
 def test_field_must_return_one_value_per_state_component():
-    with pytest.raises(ValidationError,
-                       match="^field: returned 1 values") as info:
+    with pytest.raises(ValidationError, match=r"^field: must be a 1-D series "
+                       r"of real numbers of length 2, got \[0.0\]") as info:
         integrate(lambda y: [0.0], [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
     assert info.value.field == "field"
     assert isinstance(info.value, ValueError)  # what callers may catch
@@ -204,8 +205,8 @@ def test_wrong_length_at_any_stage_names_the_step(call, length):
     with pytest.raises(ValidationError) as info:
         integrate(field, [1.0, 2.0], 0.0, 1.0, sample_step=0.5)
     message = str(info.value)
-    assert message.startswith(f"field: returned {length} values for a "
-                              f"state of 2 (from t=")
+    assert message.startswith(f"field: must be a 1-D series of real numbers "
+                              f"of length 2, got {[0.5] * length} (from t=")
     assert "with h=" in message
     assert calls == call
 
@@ -226,10 +227,10 @@ def test_badly_shaped_result_names_its_shape_and_the_start(field, n):
 
     with pytest.raises(ValidationError) as info:
         integrate(counted, [1.0] * n, 0.0, 1.0, sample_step=0.5)
-    shape = np.shape(field(np.ones(n)))
+    result = reprlib.repr(field(np.ones(n)))  # its repr shows its shape
     assert str(info.value).startswith(
-        f"field: returned a result of shape {shape} for a state of {n} "
-        f"(from t=0 with h=")
+        f"field: must be a 1-D series of real numbers of length {n}, got "
+        f"{result} (from t=0 with h=")
     assert calls == 1  # the FSAL seed; no extra call checks it
 
 
@@ -237,12 +238,12 @@ def test_badly_shaped_result_names_its_shape_and_the_start(field, n):
 # results in turn, and the last is refused at the step that asked for it
 LATER_BAD_RESULTS = {
     "2-D ndarray": ([1.0], [[0.5], [0.5], np.array([[0.5]])], 3,
-                    "a result of shape (1, 1)"),
+                    "array([[0.5]])"),
     "nested list": ([1.0, 2.0], [np.array([0.5, 0.5]), [[0.5], [0.5]]], 2,
-                    "a value of type list"),
-    "None": ([1.0], [[0.5], [None]], 2, "a value of type NoneType"),
+                    "[[0.5], [0.5]]"),
+    "None": ([1.0], [[0.5], [None]], 2, "[None]"),
     "None of two": ([1.0, 2.0], [[0.5, 1.0], [None, 1.0]], 2,
-                    "a value of type NoneType"),
+                    "[None, 1.0]"),
 }
 
 
@@ -260,8 +261,8 @@ def test_later_bad_result_names_the_step(name):
         integrate(field, y0, 0.0, 1.0, sample_step=0.5)
     assert info.value.field == "field"
     assert str(info.value).startswith(
-        f"field: returned {what} for a state of {len(y0)} (from t=0 with "
-        f"h=0.001, y=[")
+        f"field: must be a 1-D series of real numbers of length {len(y0)}, "
+        f"got {what} (from t=0 with h=0.001, y=[")
     assert calls == call
 
 
@@ -292,7 +293,9 @@ def test_non_finite_initial_state():
 def test_start_must_be_a_non_empty_vector(y0):
     with pytest.raises(ValidationError) as exc:
         integrate(decay, y0, 0.0, 1.0, sample_step=0.5)
-    assert str(exc.value) == "y0: must be a non-empty 1-D state vector"
+    assert exc.value.field == "y0"
+    assert str(exc.value) == ("y0: must be a 1-D series of real numbers of "
+                              f"length >= 1, got {y0!r}")
 
 
 @pytest.mark.parametrize("field,states", [
@@ -617,7 +620,7 @@ HEALTHY_CALLS = {"_require_positive", "field", "np.array", "type", "len"}
 def healthy_path(source: str) -> ast.FunctionDef:
     """The march with what runs only on the way to a raise cut out: the
     body of each if that raises, the operands after the first of its and,
-    the except handlers, and the _floats of an opaque field's line."""
+    the except handlers, and the require_series of an opaque field's line."""
     march = ast.parse(source).body[0]
     for node in ast.walk(march):
         if isinstance(node, ast.If) and any(
@@ -629,8 +632,8 @@ def healthy_path(source: str) -> ast.FunctionDef:
                 node.test = node.test.values[0]
         elif isinstance(node, ast.ExceptHandler):
             node.body = [ast.Pass()]
-        elif isinstance(node, ast.IfExp) and "_floats(" in ast.unparse(
-                node.orelse):
+        elif isinstance(node, ast.IfExp) and "require_series(" in \
+                ast.unparse(node.orelse):
             node.orelse = node.body
     return march
 
@@ -783,9 +786,9 @@ def test_inlined_and_opaque_fields_raise_the_same_domain_error(
 
 def test_wrapped_model_field_of_the_wrong_length_names_the_step():
     field = basic_rhs(BASELINE)
-    with pytest.raises(ValidationError, match=r"^field: returned 1 values "
-                                              r"for a state of 2 \(from "
-                                              r"t=0 with h="):
+    with pytest.raises(ValidationError, match=r"^field: must be a 1-D "
+                       r"series of real numbers of length 2, got \[.*\] "
+                       r"\(from t=0 with h="):
         integrate(lambda v: field(v)[:1], [4.0, 1.0], 0.0, 1.0)
 
 

@@ -333,7 +333,7 @@ class TestLoadScenario:
         text = json.dumps(minimal_doc(horizon=0)).replace(
             '"horizon": 0', f'"horizon": {literal}')
         with pytest.raises(ValidationError,
-                           match="^horizon: must be a finite") as info:
+                           match="^horizon: must be finite, got") as info:
             load_scenario(text)
         assert info.value.field == "horizon"
 
@@ -743,7 +743,8 @@ class TestSweep:
                                    values=(-5.0, math.nan, 0.0),
                                    report_time=1.0))
         assert [r.error for r in rows] == [
-            "s_r_floor: must be non-negative"] * 2 + [None]
+            "s_r_floor: must be non-negative",
+            "s_r_floor: must be finite, got nan", None]
 
     @pytest.mark.parametrize("kind,name", [
         ("basic", "x0"), ("basic", "p"), ("controlled", "c"),
